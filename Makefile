@@ -10,7 +10,7 @@ PR ?= 8
 # first so the figure benches that follow measure the warm-trace-cache
 # path (the deployment steady state); the micro benches isolate the
 # synthesis, replay, and cache-lookup stages.
-BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkTraceCacheWarm$$
+BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkTraceCacheWarm$$
 
 # bench-capture pipes through a prebuilt benchjson ($(BENCHJSON)) when
 # one is given — CI builds the tool once from the PR head, then benches

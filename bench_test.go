@@ -211,37 +211,40 @@ func BenchmarkTable6(b *testing.B) {
 // --- Micro-benchmarks of the core components ---
 
 // benchTrace synthesizes one small frame trace once per process.
-var benchTraceCache []stream.Access
+var benchTraceCache *stream.Trace
 
-func benchTrace(b *testing.B) []stream.Access {
+func benchTrace(b *testing.B) *stream.Trace {
 	if benchTraceCache == nil {
-		benchTraceCache = trace.GenerateFrame(workload.Suite()[14], 0.15)
+		benchTraceCache = trace.GeneratePacked(workload.Suite()[14], 0.15)
 	}
 	b.SetBytes(0)
 	return benchTraceCache
 }
 
+// benchPolicy replays benchTrace through a fresh cache per iteration via
+// cachesim.ReplaySource, the replay path every harness experiment uses.
 func benchPolicy(b *testing.B, mk func() cachesim.Policy) {
 	tr := benchTrace(b)
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := cachesim.New(geom, mk())
-		for _, a := range tr {
-			c.Access(a)
+		if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr)), "accesses/op")
+	b.ReportMetric(float64(tr.Len()), "accesses/op")
 }
 
-// BenchmarkLLCAccessDRRIP measures the offline simulator's throughput
-// with the baseline policy.
-func BenchmarkLLCAccessDRRIP(b *testing.B) {
+// BenchmarkLLCAccessDRRIPPacked measures the offline simulator's
+// throughput with the baseline policy. The name predates the single
+// trace representation and is kept so BENCH captures stay comparable.
+func BenchmarkLLCAccessDRRIPPacked(b *testing.B) {
 	benchPolicy(b, func() cachesim.Policy { return policy.NewDRRIP(2) })
 }
 
 // BenchmarkLLCAccessGSPC measures the GSPC policy's overhead relative to
-// DRRIP (compare with BenchmarkLLCAccessDRRIP).
+// DRRIP (compare with BenchmarkLLCAccessDRRIPPacked).
 func BenchmarkLLCAccessGSPC(b *testing.B) {
 	benchPolicy(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPC)) })
 }
@@ -261,66 +264,27 @@ func BenchmarkBeladyPreprocess(b *testing.B) {
 	tr := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		belady.NextUse(tr, 6)
+		belady.NextUseTrace(tr, 6)
 	}
 }
 
 // BenchmarkBeladyReplay measures a full optimal-policy replay.
 func BenchmarkBeladyReplay(b *testing.B) {
 	tr := benchTrace(b)
-	next := belady.NextUse(tr, 6)
+	next := belady.NextUseTrace(tr, 6)
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := cachesim.New(geom, belady.NewOPT(next))
-		for _, a := range tr {
-			c.Access(a)
-		}
-	}
-}
-
-// BenchmarkTraceGeneration measures the full pipeline + render cache
-// synthesis of one frame's LLC trace.
-func BenchmarkTraceGeneration(b *testing.B) {
-	job := workload.Suite()[14]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := trace.GenerateFrame(job, 0.15)
-		if len(tr) == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
-// benchPackedCache holds the packed variant of benchTrace, built once.
-var benchPackedCache *stream.Trace
-
-func benchPacked(b *testing.B) *stream.Trace {
-	if benchPackedCache == nil {
-		benchPackedCache = stream.Pack(benchTrace(b))
-	}
-	return benchPackedCache
-}
-
-// BenchmarkLLCAccessDRRIPPacked is BenchmarkLLCAccessDRRIP over the
-// packed trace representation via cachesim.ReplaySource — the replay
-// path every harness experiment now uses.
-func BenchmarkLLCAccessDRRIPPacked(b *testing.B) {
-	tr := benchPacked(b)
-	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cachesim.New(geom, policy.NewDRRIP(2))
 		if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(tr.Len()), "accesses/op")
 }
 
-// BenchmarkTraceGenerationPacked measures synthesis straight into the
-// packed representation (no []stream.Access intermediate), reusing one
-// buffer across iterations the way the ablation sweeps do.
+// BenchmarkTraceGenerationPacked measures the full pipeline + render
+// cache synthesis of one frame's LLC trace, reusing one buffer across
+// iterations the way the ablation sweeps do.
 func BenchmarkTraceGenerationPacked(b *testing.B) {
 	job := workload.Suite()[14]
 	cfg := rendercache.DefaultConfig().Scaled(0.15)
@@ -340,7 +304,7 @@ func BenchmarkTraceGenerationPacked(b *testing.B) {
 func BenchmarkTraceCacheWarm(b *testing.B) {
 	c := tracecache.New(64 << 20)
 	k := tracecache.Key{Job: "bench", Scale: 0.15, Config: "bench"}
-	synth := func(context.Context) (*stream.Trace, error) { return benchPacked(b), nil }
+	synth := func(context.Context) (*stream.Trace, error) { return benchTrace(b), nil }
 	if _, err := c.Get(context.Background(), k, synth); err != nil {
 		b.Fatal(err)
 	}
@@ -400,7 +364,7 @@ func BenchmarkFig12ExactQuarter(b *testing.B) {
 // non-sampled sets cheaply enough that throughput scales with the
 // sampled fraction.
 func BenchmarkLLCAccessDRRIPSampled(b *testing.B) {
-	tr := benchPacked(b)
+	tr := benchTrace(b)
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	ss := cachesim.SetSample{Ratio: 16, Seed: 1}
 	b.ResetTimer()
@@ -420,7 +384,7 @@ func BenchmarkGPUSimulate(b *testing.B) {
 	cfg.UncachedDisplay = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := gpu.Simulate(tr, cfg, policy.NewDRRIP(2))
+		r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
 		if r.Cycles == 0 {
 			b.Fatal("no cycles simulated")
 		}

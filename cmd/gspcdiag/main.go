@@ -24,14 +24,14 @@ import (
 	"gspc/internal/workload"
 )
 
-func run(tr []stream.Access, pol cachesim.Policy, geom cachesim.Geometry, ucd bool) (*cachesim.Cache, *analysis.Tracker) {
+func run(tr *stream.Trace, pol cachesim.Policy, geom cachesim.Geometry, ucd bool) (*cachesim.Cache, *analysis.Tracker) {
 	c := cachesim.New(geom, pol)
 	if ucd {
 		c.SetBypass(stream.Display, true)
 	}
 	tk := analysis.Attach(c)
-	for _, a := range tr {
-		c.Access(a)
+	for i := range tr.Len() {
+		c.Access(tr.At(i))
 	}
 	return c, tk
 }
@@ -78,14 +78,14 @@ func main() {
 		}
 		for idx := 0; idx < n; idx++ {
 			job := workload.FrameJob{App: p, Index: idx}
-			tr := trace.GenerateFrame(job, *scale)
+			tr := trace.GeneratePacked(job, *scale)
 
 			cd, td := run(tr, policy.NewDRRIP(2), geom, false)
 			g := core.New(core.DefaultParams(core.VariantGSPC))
 			cg, tg := run(tr, g, geom, true)
-			_, to := run(tr, belady.NewOPT(belady.NextUse(tr, 6)), geom, false)
+			_, to := run(tr, belady.NewOPT(belady.NextUseTrace(tr, 6)), geom, false)
 
-			fmt.Printf("%s (%d LLC accesses, LLC %s)\n", job.ID(), len(tr), geom)
+			fmt.Printf("%s (%d LLC accesses, LLC %s)\n", job.ID(), tr.Len(), geom)
 			fmt.Printf("  misses: DRRIP %d, GSPC+UCD %d (%+.1f%%)\n",
 				cd.Stats.Misses, cg.Stats.Misses,
 				100*float64(cg.Stats.Misses-cd.Stats.Misses)/float64(cd.Stats.Misses))

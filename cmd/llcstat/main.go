@@ -41,7 +41,7 @@ func parseSize(s string) (int, error) {
 	return v * mult, nil
 }
 
-func makePolicy(name string, tr []stream.Access) (cachesim.Policy, error) {
+func makePolicy(name string, tr *stream.Trace) (cachesim.Policy, error) {
 	switch strings.ToUpper(name) {
 	case "DRRIP":
 		return policy.NewDRRIP(2), nil
@@ -62,7 +62,7 @@ func makePolicy(name string, tr []stream.Access) (cachesim.Policy, error) {
 	case "GSPC":
 		return core.New(core.DefaultParams(core.VariantGSPC)), nil
 	case "BELADY", "OPT":
-		return belady.NewOPT(belady.NextUse(tr, 6)), nil
+		return belady.NewOPT(belady.NextUseTrace(tr, 6)), nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
@@ -87,7 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "llcstat:", err)
 		os.Exit(1)
 	}
-	tr, err := trace.Read(f)
+	tr, err := trace.ReadTrace(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "llcstat:", err)
@@ -110,11 +110,11 @@ func main() {
 		c.SetBypass(stream.Display, true)
 	}
 	tk := analysis.Attach(c)
-	for _, a := range tr {
-		c.Access(a)
+	for i := range tr.Len() {
+		c.Access(tr.At(i))
 	}
 
-	fmt.Printf("trace: %s (%d accesses)\n", *tracePath, len(tr))
+	fmt.Printf("trace: %s (%d accesses)\n", *tracePath, tr.Len())
 	fmt.Printf("llc:   %s, policy %s\n\n", c.Geometry(), pol.Name())
 	fmt.Printf("%-10s %10s %10s %8s\n", "stream", "accesses", "hits", "hit%")
 	for _, k := range stream.Kinds() {

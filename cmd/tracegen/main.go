@@ -79,7 +79,7 @@ func main() {
 		}
 		perApp[j.App.Abbrev]++
 
-		tr := trace.GenerateFrame(j, *scale)
+		tr := trace.GeneratePacked(j, *scale)
 		name := fmt.Sprintf("%s_%d.trc", j.App.Abbrev, j.Index)
 		path := filepath.Join(*out, name)
 		f, err := os.Create(path)
@@ -87,7 +87,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		if err := trace.Write(f, tr); err != nil {
+		if err := trace.WriteTrace(f, tr); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
@@ -96,6 +96,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: %d accesses\n", path, len(tr))
+		fmt.Printf("%s: %d accesses\n", path, tr.Len())
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"gspc/internal/policy"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
-	"gspc/internal/trace"
 )
 
 // buildFrame constructs a frame by hand: pass 1 renders a reflection map,
@@ -92,21 +91,17 @@ func main() {
 	}
 
 	// Trace the frame through the render cache complex.
-	col := &trace.Collector{}
-	rc := rendercache.New(rendercache.DefaultConfig().Scaled(0.25), col)
+	tr := stream.NewTrace(0)
+	rc := rendercache.New(rendercache.DefaultConfig().Scaled(0.25), tr)
 	pipeline.NewRenderer(rc).RenderFrame(f)
-	tr := col.Accesses
-	for i := range tr {
-		tr[i].Seq = int64(i)
-	}
-	fmt.Printf("custom frame: %d LLC accesses\n\n", len(tr))
+	fmt.Printf("custom frame: %d LLC accesses\n\n", tr.Len())
 
 	geom := cachesim.Geometry{SizeBytes: 512 << 10, Ways: 16, BlockSize: 64}
 	show := func(name string, pol cachesim.Policy) {
 		c := cachesim.New(geom, pol)
 		tk := analysis.Attach(c)
-		for _, a := range tr {
-			c.Access(a)
+		for i := range tr.Len() {
+			c.Access(tr.At(i))
 		}
 		fmt.Printf("%-8s misses=%6d  RT produced=%5d consumed=%5d (%4.1f%%)  tex hits inter/intra=%d/%d\n",
 			name, c.Stats.Misses, tk.RTProduced, tk.RTConsumed, 100*tk.RTConsumptionRate(),
@@ -114,6 +109,5 @@ func main() {
 	}
 	show("DRRIP", policy.NewDRRIP(2))
 	show("GSPC", core.New(core.DefaultParams(core.VariantGSPC)))
-	show("Belady", belady.NewOPT(belady.NextUse(tr, 6)))
-	_ = stream.NumKinds
+	show("Belady", belady.NewOPT(belady.NextUseTrace(tr, 6)))
 }

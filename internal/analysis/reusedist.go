@@ -54,16 +54,17 @@ func (f *fenwick) sum(i int) int64 {
 // trace (block granularity, 64-byte blocks by default via blockShift).
 // The result slice parallels the trace; first touches get -1. Runs in
 // O(n log n) time and O(n) space.
-func StackDistances(tr []stream.Access, blockShift uint) []int64 {
-	out := make([]int64, len(tr))
-	last := make(map[uint64]int, len(tr)/4+1)
-	fw := newFenwick(len(tr))
-	for i, a := range tr {
-		bn := a.Addr >> blockShift
+func StackDistances(tr *stream.Trace, blockShift uint) []int64 {
+	addrs, _ := tr.Records()
+	out := make([]int64, len(addrs))
+	last := make(map[uint64]int, len(addrs)/4+1)
+	fw := newFenwick(len(addrs))
+	for i, addr := range addrs {
+		bn := addr >> blockShift
 		if j, ok := last[bn]; ok {
 			// Distinct blocks touched in (j, i): those whose marker sits
 			// after position j.
-			out[i] = fw.sum(len(tr)-1) - fw.sum(j)
+			out[i] = fw.sum(len(addrs)-1) - fw.sum(j)
 			fw.add(j, -1)
 		} else {
 			out[i] = -1
@@ -77,15 +78,13 @@ func StackDistances(tr []stream.Access, blockShift uint) []int64 {
 // NewReuseHistogram builds the power-of-two histogram of a trace's stack
 // distances, optionally restricted to one stream kind (pass
 // stream.NumKinds for all streams).
-func NewReuseHistogram(tr []stream.Access, blockShift uint, only stream.Kind) *ReuseHistogram {
+func NewReuseHistogram(tr *stream.Trace, blockShift uint, only stream.Kind) *ReuseHistogram {
 	h := &ReuseHistogram{Buckets: make([]int64, maxBucketBits)}
-	dists := StackDistances(tr, blockShift)
-	for i, a := range tr {
-		if only != stream.NumKinds && a.Kind != only {
+	for i, d := range StackDistances(tr, blockShift) {
+		if only != stream.NumKinds && tr.KindAt(i) != only {
 			continue
 		}
 		h.Total++
-		d := dists[i]
 		if d < 0 {
 			h.Cold++
 			continue

@@ -9,12 +9,21 @@ import (
 	"gspc/internal/stream"
 )
 
-func blocksTrace(blocks ...int) []stream.Access {
-	tr := make([]stream.Access, len(blocks))
-	for i, b := range blocks {
-		tr[i] = stream.Access{Addr: uint64(b) * 64, Seq: int64(i)}
+func blocksTrace(blocks ...int) *stream.Trace {
+	tr := stream.NewTrace(len(blocks))
+	for _, b := range blocks {
+		tr.Append(stream.Access{Addr: uint64(b) * 64})
 	}
 	return tr
+}
+
+// modTrace is blocksTrace over blocks reduced modulo m.
+func modTrace(blocks []uint8, m uint8) *stream.Trace {
+	bs := make([]int, len(blocks))
+	for i, b := range blocks {
+		bs[i] = int(b % m)
+	}
+	return blocksTrace(bs...)
 }
 
 func TestStackDistancesKnown(t *testing.T) {
@@ -30,16 +39,16 @@ func TestStackDistancesKnown(t *testing.T) {
 }
 
 // bruteStackDistance counts distinct blocks between touches directly.
-func bruteStackDistance(tr []stream.Access, shift uint) []int64 {
-	out := make([]int64, len(tr))
-	for i := range tr {
+func bruteStackDistance(tr *stream.Trace, shift uint) []int64 {
+	out := make([]int64, tr.Len())
+	for i := range out {
 		out[i] = -1
-		bn := tr[i].Addr >> shift
+		bn := tr.Addr(i) >> shift
 		for j := i - 1; j >= 0; j-- {
-			if tr[j].Addr>>shift == bn {
+			if tr.Addr(j)>>shift == bn {
 				seen := map[uint64]bool{}
 				for k := j + 1; k < i; k++ {
-					seen[tr[k].Addr>>shift] = true
+					seen[tr.Addr(k)>>shift] = true
 				}
 				delete(seen, bn)
 				out[i] = int64(len(seen))
@@ -52,10 +61,7 @@ func bruteStackDistance(tr []stream.Access, shift uint) []int64 {
 
 func TestStackDistancesProperty(t *testing.T) {
 	f := func(blocks []uint8) bool {
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%32) * 64}
-		}
+		tr := modTrace(blocks, 32)
 		got := StackDistances(tr, 6)
 		want := bruteStackDistance(tr, 6)
 		for i := range got {
@@ -75,15 +81,12 @@ func TestStackDistancesProperty(t *testing.T) {
 func TestStackDistancePredictsLRUProperty(t *testing.T) {
 	f := func(blocks []uint8, cap8 uint8) bool {
 		ways := int(cap8%15) + 2
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%64) * 64}
-		}
+		tr := modTrace(blocks, 64)
 		dists := StackDistances(tr, 6)
 		// Fully associative LRU = single-set cache.
 		c := cachesim.New(cachesim.Geometry{SizeBytes: 64 * ways, Ways: ways, BlockSize: 64}, policy.NewLRU())
-		for i, a := range tr {
-			hit := c.Access(a)
+		for i := range tr.Len() {
+			hit := c.Access(tr.At(i))
 			wantHit := dists[i] >= 0 && dists[i] < int64(ways)
 			if hit != wantHit {
 				return false
@@ -112,11 +115,11 @@ func TestReuseHistogram(t *testing.T) {
 }
 
 func TestReuseHistogramKindFilter(t *testing.T) {
-	tr := []stream.Access{
+	tr := stream.Pack([]stream.Access{
 		{Addr: 0, Kind: stream.Z},
 		{Addr: 0, Kind: stream.Texture},
 		{Addr: 0, Kind: stream.Z},
-	}
+	})
 	h := NewReuseHistogram(tr, 6, stream.Z)
 	if h.Total != 2 || h.Cold != 1 {
 		t.Errorf("filtered histogram total=%d cold=%d", h.Total, h.Cold)
@@ -146,7 +149,7 @@ func TestMedianDistance(t *testing.T) {
 	if m := h.MedianDistance(); m != 2 {
 		t.Errorf("median = %d, want 2 (bucket 0 upper bound)", m)
 	}
-	empty := NewReuseHistogram(nil, 6, stream.NumKinds)
+	empty := NewReuseHistogram(stream.NewTrace(0), 6, stream.NumKinds)
 	if empty.MedianDistance() != -1 {
 		t.Error("median of empty histogram should be -1")
 	}

@@ -1,6 +1,7 @@
 package belady
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,17 +10,22 @@ import (
 	"gspc/internal/stream"
 )
 
-func mkTrace(blocks []int) []stream.Access {
-	tr := make([]stream.Access, len(blocks))
-	for i, b := range blocks {
-		tr[i] = stream.Access{Addr: uint64(b) * 64, Seq: int64(i)}
+func mkTrace(blocks []int) *stream.Trace {
+	return traceOf(blocks, 64)
+}
+
+// traceOf builds a trace touching address b*stride for each b.
+func traceOf[T int | uint8](blocks []T, stride uint64) *stream.Trace {
+	tr := stream.NewTrace(len(blocks))
+	for _, b := range blocks {
+		tr.Append(stream.Access{Addr: uint64(b) * stride})
 	}
 	return tr
 }
 
 func TestNextUseSimple(t *testing.T) {
 	tr := mkTrace([]int{1, 2, 1, 3, 2, 1})
-	next := NextUse(tr, 6)
+	next := NextUseTrace(tr, 6)
 	want := []int64{2, 4, 5, Never, Never, Never}
 	for i := range want {
 		if next[i] != want[i] {
@@ -29,25 +35,25 @@ func TestNextUseSimple(t *testing.T) {
 }
 
 func TestNextUseSameBlockDifferentOffsets(t *testing.T) {
-	tr := []stream.Access{
-		{Addr: 0, Seq: 0},
-		{Addr: 63, Seq: 1}, // same block
-		{Addr: 64, Seq: 2}, // next block
-		{Addr: 32, Seq: 3}, // block 0 again
-	}
-	next := NextUse(tr, 6)
+	tr := stream.Pack([]stream.Access{
+		{Addr: 0},
+		{Addr: 63}, // same block
+		{Addr: 64}, // next block
+		{Addr: 32}, // block 0 again
+	})
+	next := NextUseTrace(tr, 6)
 	if next[0] != 1 || next[1] != 3 || next[2] != Never || next[3] != Never {
 		t.Errorf("next = %v", next)
 	}
 }
 
 // brute-force next-use for the property test.
-func bruteNextUse(tr []stream.Access, shift uint) []int64 {
-	out := make([]int64, len(tr))
-	for i := range tr {
+func bruteNextUse(tr *stream.Trace, shift uint) []int64 {
+	out := make([]int64, tr.Len())
+	for i := range out {
 		out[i] = Never
-		for j := i + 1; j < len(tr); j++ {
-			if tr[i].Addr>>shift == tr[j].Addr>>shift {
+		for j := i + 1; j < tr.Len(); j++ {
+			if tr.Addr(i)>>shift == tr.Addr(j)>>shift {
 				out[i] = int64(j)
 				break
 			}
@@ -58,11 +64,8 @@ func bruteNextUse(tr []stream.Access, shift uint) []int64 {
 
 func TestNextUseProperty(t *testing.T) {
 	f := func(blocks []uint8) bool {
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b) * 8, Seq: int64(i)}
-		}
-		got := NextUse(tr, 6)
+		tr := traceOf(blocks, 8)
+		got := NextUseTrace(tr, 6)
 		want := bruteNextUse(tr, 6)
 		for i := range got {
 			if got[i] != want[i] {
@@ -76,10 +79,10 @@ func TestNextUseProperty(t *testing.T) {
 	}
 }
 
-func runTrace(tr []stream.Access, p cachesim.Policy, ways int) int64 {
+func runTrace(tr *stream.Trace, p cachesim.Policy, ways int) int64 {
 	c := cachesim.New(cachesim.Geometry{SizeBytes: 64 * ways, Ways: ways, BlockSize: 64}, p)
-	for _, a := range tr {
-		c.Access(a)
+	if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
+		panic(err)
 	}
 	return c.Stats.Misses
 }
@@ -89,7 +92,7 @@ func TestOPTKnownSequence(t *testing.T) {
 	// nearer... next uses: 1->3, 2->4, 3->never. Filling 3 with bypass
 	// enabled: 3 is never reused, so OPT bypasses it entirely.
 	tr := mkTrace([]int{1, 2, 3, 1, 2})
-	misses := runTrace(tr, NewOPT(NextUse(tr, 6)), 2)
+	misses := runTrace(tr, NewOPT(NextUseTrace(tr, 6)), 2)
 	if misses != 3 {
 		t.Errorf("OPT misses = %d, want 3 (fills 1,2; bypasses 3; hits 1,2)", misses)
 	}
@@ -97,7 +100,7 @@ func TestOPTKnownSequence(t *testing.T) {
 
 func TestOPTForcedFill(t *testing.T) {
 	tr := mkTrace([]int{1, 2, 3, 1, 2})
-	p := NewOPT(NextUse(tr, 6))
+	p := NewOPT(NextUseTrace(tr, 6))
 	p.Bypass = false
 	misses := runTrace(tr, p, 2)
 	// Forced fill must evict one of {1,2} for 3; evicting the farther (2)
@@ -118,9 +121,9 @@ func TestOPTBeatsLRUOnLoop(t *testing.T) {
 	}
 	tr := mkTrace(blocks)
 	lru := runTrace(tr, policy.NewLRU(), 4)
-	opt := runTrace(tr, NewOPT(NextUse(tr, 6)), 4)
-	if lru != int64(len(tr)) {
-		t.Errorf("LRU on a 5-block loop in 4 ways should always miss, got %d/%d", lru, len(tr))
+	opt := runTrace(tr, NewOPT(NextUseTrace(tr, 6)), 4)
+	if lru != int64(tr.Len()) {
+		t.Errorf("LRU on a 5-block loop in 4 ways should always miss, got %d/%d", lru, tr.Len())
 	}
 	if opt >= lru/2 {
 		t.Errorf("OPT (%d) should dramatically beat LRU (%d)", opt, lru)
@@ -140,11 +143,11 @@ func TestOPTOptimalityProperty(t *testing.T) {
 		if len(blocks) == 0 {
 			return true
 		}
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%32) * 64, Seq: int64(i)}
+		for i := range blocks {
+			blocks[i] %= 32
 		}
-		opt := runTrace(tr, NewOPT(NextUse(tr, 6)), 4)
+		tr := traceOf(blocks, 64)
+		opt := runTrace(tr, NewOPT(NextUseTrace(tr, 6)), 4)
 		for _, r := range rivals() {
 			if opt > runTrace(tr, r, 4) {
 				return false
@@ -163,11 +166,11 @@ func TestOPTBypassNeverWorseProperty(t *testing.T) {
 		if len(blocks) == 0 {
 			return true
 		}
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%16) * 64, Seq: int64(i)}
+		for i := range blocks {
+			blocks[i] %= 16
 		}
-		next := NextUse(tr, 6)
+		tr := traceOf(blocks, 64)
+		next := NextUseTrace(tr, 6)
 		withBypass := runTrace(tr, NewOPT(next), 4)
 		forced := NewOPT(next)
 		forced.Bypass = false
@@ -180,7 +183,7 @@ func TestOPTBypassNeverWorseProperty(t *testing.T) {
 
 func TestOPTPanicsOnUnpreparedSeq(t *testing.T) {
 	tr := mkTrace([]int{1, 2})
-	p := NewOPT(NextUse(tr, 6))
+	p := NewOPT(NextUseTrace(tr, 6))
 	c := cachesim.New(cachesim.Geometry{SizeBytes: 128, Ways: 2, BlockSize: 64}, p)
 	defer func() {
 		if recover() == nil {

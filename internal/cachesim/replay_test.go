@@ -8,10 +8,10 @@ import (
 	"gspc/internal/stream"
 )
 
-func replayTrace(n int) []stream.Access {
-	tr := make([]stream.Access, n)
-	for i := range tr {
-		tr[i] = stream.Access{Addr: uint64(i) * 64, Seq: int64(i), Kind: stream.Texture}
+func replayTrace(n int) *stream.Trace {
+	tr := stream.NewTrace(n)
+	for i := range n {
+		tr.Append(stream.Access{Addr: uint64(i) * 64, Kind: stream.Texture})
 	}
 	return tr
 }
@@ -19,11 +19,11 @@ func replayTrace(n int) []stream.Access {
 func TestReplayCompletesWithoutCancellation(t *testing.T) {
 	c := New(Geometry{SizeBytes: 16 * 16 * 64, Ways: 16, BlockSize: 64}, &fifoPolicy{})
 	tr := replayTrace(10_000)
-	if err := Replay(context.Background(), c, tr, 0); err != nil {
-		t.Fatalf("Replay: %v", err)
+	if err := ReplaySource(context.Background(), c, tr, 0); err != nil {
+		t.Fatalf("ReplaySource: %v", err)
 	}
-	if c.Stats.Accesses != int64(len(tr)) {
-		t.Errorf("accesses = %d, want %d", c.Stats.Accesses, len(tr))
+	if c.Stats.Accesses != int64(tr.Len()) {
+		t.Errorf("accesses = %d, want %d", c.Stats.Accesses, tr.Len())
 	}
 }
 
@@ -32,9 +32,9 @@ func TestReplayStopsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := replayTrace(100_000)
-	err := Replay(ctx, c, tr, 128)
+	err := ReplaySource(ctx, c, tr, 128)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Replay err = %v, want context.Canceled", err)
+		t.Fatalf("ReplaySource err = %v, want context.Canceled", err)
 	}
 	// The first stride window may run before the first poll fires, but a
 	// pre-cancelled context must stop the replay at the very first check.
@@ -58,8 +58,8 @@ func TestReplayCancellationLatencyBoundedByStride(t *testing.T) {
 			cancel()
 		}
 	}))
-	if err := Replay(ctx, c, tr, stride); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Replay err = %v, want context.Canceled", err)
+	if err := ReplaySource(ctx, c, tr, stride); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReplaySource err = %v, want context.Canceled", err)
 	}
 	if c.Stats.Accesses > 1000+stride {
 		t.Errorf("replay ran %d accesses past cancellation (stride %d)", c.Stats.Accesses-1000, stride)

@@ -140,19 +140,14 @@ func (h *eventHeap) Pop() interface{} {
 	return x
 }
 
-// Simulate renders one frame (its LLC access trace) on the configured
-// GPU with the given LLC replacement policy and returns the timing
-// result. The policy's state is reset by the embedded cache model.
-func Simulate(tr []stream.Access, cfg Config, pol cachesim.Policy) Result {
-	return SimulateSource(stream.Slice(tr), cfg, pol)
-}
-
-// SimulateSource is Simulate over any positional trace view, most
-// importantly the packed stream.Trace shared by the frame-trace cache.
-// Threads read the trace positionally (chunk-interleaved), so the view
-// is only ever indexed — never mutated — and one packed trace can feed
-// any number of concurrent simulations.
-func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
+// SimulateSource renders one frame (its LLC access trace) on the
+// configured GPU with the given LLC replacement policy and returns the
+// timing result. The policy's state is reset by the embedded cache
+// model. Threads read the trace columns positionally (chunk-interleaved),
+// so the trace is only ever indexed — never mutated — and one trace from
+// the shared frame-trace cache can feed any number of concurrent
+// simulations.
+func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	if cfg.Cores <= 0 || cfg.ThreadsPerCore <= 0 {
 		panic(fmt.Sprintf("gpu: invalid shader array %dx%d", cfg.Cores, cfg.ThreadsPerCore))
 	}
@@ -208,8 +203,9 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 		}
 	})
 
+	addrs, meta := tr.Records()
 	nThreads := cfg.Cores * cfg.ThreadsPerCore
-	nChunks := (tr.Len() + cfg.ChunkSize - 1) / cfg.ChunkSize
+	nChunks := (len(addrs) + cfg.ChunkSize - 1) / cfg.ChunkSize
 
 	// Thread k owns chunks k, k+T, k+2T, ... ; pos tracks each thread's
 	// place within its current chunk.
@@ -246,7 +242,7 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 		pos := -1
 		for chunkOf[th] < nChunks {
 			p := chunkOf[th]*cfg.ChunkSize + idx[th]
-			if idx[th] < cfg.ChunkSize && p < tr.Len() {
+			if idx[th] < cfg.ChunkSize && p < len(addrs) {
 				pos = p
 				break
 			}
@@ -259,7 +255,8 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 			}
 			continue // thread retires
 		}
-		a := tr.At(pos)
+		k, w := stream.UnpackMeta(meta[pos])
+		a := stream.Access{Addr: addrs[pos], Seq: int64(pos), Kind: k, Write: w}
 		idx[th]++
 		accesses++
 
@@ -331,11 +328,4 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 		DRAM:     mem.Stats,
 		Accesses: accesses,
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -20,23 +20,30 @@ func smallConfig() Config {
 	return cfg
 }
 
-// mkTrace builds a trace of n accesses striding over blocks.
-func mkTrace(n, distinct int, kind stream.Kind) []stream.Access {
-	tr := make([]stream.Access, n)
-	for i := range tr {
-		tr[i] = stream.Access{Addr: uint64(i%distinct) * 64, Kind: kind, Seq: int64(i)}
+// buildTrace builds an n-record trace whose record i is at(i).
+func buildTrace(n int, at func(i int) stream.Access) *stream.Trace {
+	tr := stream.NewTrace(n)
+	for i := range n {
+		tr.Append(at(i))
 	}
 	return tr
 }
 
+// mkTrace builds a trace of n accesses striding over blocks.
+func mkTrace(n, distinct int, kind stream.Kind) *stream.Trace {
+	return buildTrace(n, func(i int) stream.Access {
+		return stream.Access{Addr: uint64(i%distinct) * 64, Kind: kind}
+	})
+}
+
 func TestSimulateProcessesAllAccesses(t *testing.T) {
 	tr := mkTrace(5000, 700, stream.Texture)
-	r := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
-	if r.Accesses != int64(len(tr)) {
-		t.Errorf("processed %d accesses, want %d", r.Accesses, len(tr))
+	r := SimulateSource(tr, smallConfig(), policy.NewDRRIP(2))
+	if r.Accesses != int64(tr.Len()) {
+		t.Errorf("processed %d accesses, want %d", r.Accesses, tr.Len())
 	}
-	if r.LLC.Accesses != int64(len(tr)) {
-		t.Errorf("LLC saw %d accesses, want %d", r.LLC.Accesses, len(tr))
+	if r.LLC.Accesses != int64(tr.Len()) {
+		t.Errorf("LLC saw %d accesses, want %d", r.LLC.Accesses, tr.Len())
 	}
 	if r.Cycles <= 0 || r.FPS <= 0 {
 		t.Errorf("cycles=%d fps=%v", r.Cycles, r.FPS)
@@ -44,7 +51,7 @@ func TestSimulateProcessesAllAccesses(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := Simulate(nil, smallConfig(), policy.NewDRRIP(2))
+	r := SimulateSource(stream.NewTrace(0), smallConfig(), policy.NewDRRIP(2))
 	if r.Accesses != 0 {
 		t.Errorf("accesses = %d", r.Accesses)
 	}
@@ -52,7 +59,7 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestShortTraceFewerChunksThanThreads(t *testing.T) {
 	tr := mkTrace(10, 10, stream.Z)
-	r := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
+	r := SimulateSource(tr, smallConfig(), policy.NewDRRIP(2))
 	if r.Accesses != 10 {
 		t.Errorf("processed %d of 10", r.Accesses)
 	}
@@ -60,8 +67,8 @@ func TestShortTraceFewerChunksThanThreads(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tr := mkTrace(20000, 3000, stream.RT)
-	a := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
-	b := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
+	a := SimulateSource(tr, smallConfig(), policy.NewDRRIP(2))
+	b := SimulateSource(tr, smallConfig(), policy.NewDRRIP(2))
 	if a.Cycles != b.Cycles || a.LLC.Misses != b.LLC.Misses {
 		t.Errorf("nondeterministic: %d/%d vs %d/%d cycles/misses", a.Cycles, a.LLC.Misses, b.Cycles, b.LLC.Misses)
 	}
@@ -72,8 +79,8 @@ func TestMoreMissesMoreCycles(t *testing.T) {
 	// must take longer.
 	fits := mkTrace(30000, 256, stream.Texture)    // 16 KB working set
 	thrash := mkTrace(30000, 8192, stream.Texture) // 512 KB working set in a 64 KB LLC
-	rf := Simulate(fits, smallConfig(), policy.NewLRU())
-	rt := Simulate(thrash, smallConfig(), policy.NewLRU())
+	rf := SimulateSource(fits, smallConfig(), policy.NewLRU())
+	rt := SimulateSource(thrash, smallConfig(), policy.NewLRU())
 	if rf.LLC.Misses >= rt.LLC.Misses {
 		t.Fatalf("setup broken: fits misses %d >= thrash misses %d", rf.LLC.Misses, rt.LLC.Misses)
 	}
@@ -89,7 +96,7 @@ func TestUncachedDisplayBypasses(t *testing.T) {
 	tr := mkTrace(5000, 500, stream.Display)
 	cfg := smallConfig()
 	cfg.UncachedDisplay = true
-	r := Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := SimulateSource(tr, cfg, policy.NewDRRIP(2))
 	if r.LLC.Bypasses != r.LLC.Misses {
 		t.Errorf("display accesses should all bypass: %d bypasses, %d misses", r.LLC.Bypasses, r.LLC.Misses)
 	}
@@ -98,11 +105,10 @@ func TestUncachedDisplayBypasses(t *testing.T) {
 func TestWritebacksReachDRAM(t *testing.T) {
 	// Writes that thrash generate writebacks, which must appear as DRAM
 	// writes.
-	tr := make([]stream.Access, 20000)
-	for i := range tr {
-		tr[i] = stream.Access{Addr: uint64(i%4096) * 64, Kind: stream.RT, Write: true}
-	}
-	r := Simulate(tr, smallConfig(), policy.NewLRU())
+	tr := buildTrace(20000, func(i int) stream.Access {
+		return stream.Access{Addr: uint64(i%4096) * 64, Kind: stream.RT, Write: true}
+	})
+	r := SimulateSource(tr, smallConfig(), policy.NewLRU())
 	if r.DRAM.Writes == 0 {
 		t.Error("no writebacks reached DRAM")
 	}
@@ -113,8 +119,8 @@ func TestFewerThreadsSlower(t *testing.T) {
 	big := smallConfig()
 	small := smallConfig()
 	small.Cores = 1
-	rb := Simulate(tr, big, policy.NewDRRIP(2))
-	rs := Simulate(tr, small, policy.NewDRRIP(2))
+	rb := SimulateSource(tr, big, policy.NewDRRIP(2))
+	rs := SimulateSource(tr, small, policy.NewDRRIP(2))
 	if rs.Cycles <= rb.Cycles {
 		t.Errorf("1-core GPU should be slower: %d vs %d", rs.Cycles, rb.Cycles)
 	}
@@ -124,7 +130,7 @@ func TestComputeGapDefaultsApplied(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ComputeGap = [stream.NumKinds]int{} // all zero -> defaults
 	tr := mkTrace(1000, 100, stream.Vertex)
-	r := Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := SimulateSource(tr, cfg, policy.NewDRRIP(2))
 	if r.Cycles < int64(DefaultComputeGap[stream.Vertex]) {
 		t.Error("compute gaps apparently not applied")
 	}
@@ -133,20 +139,15 @@ func TestComputeGapDefaultsApplied(t *testing.T) {
 func TestStoresDoNotBlock(t *testing.T) {
 	// All-store trace: threads never wait on DRAM, so the run should be
 	// much faster than an all-load trace with the same miss profile.
-	loads := mkTrace(20000, 8192, stream.Texture)
-	stores := make([]stream.Access, len(loads))
-	copy(stores, loads)
-	for i := range stores {
-		stores[i].Write = true
-		stores[i].Kind = stream.RT // avoid sampler path for a clean compare
-	}
-	loadsRT := make([]stream.Access, len(loads))
-	copy(loadsRT, loads)
-	for i := range loadsRT {
-		loadsRT[i].Kind = stream.RT
-	}
-	rl := Simulate(loadsRT, smallConfig(), policy.NewLRU())
-	rs := Simulate(stores, smallConfig(), policy.NewLRU())
+	// RT rather than texture avoids the sampler path for a clean compare.
+	loadsRT := mkTrace(20000, 8192, stream.RT)
+	stores := buildTrace(loadsRT.Len(), func(i int) stream.Access {
+		a := loadsRT.At(i)
+		a.Write = true
+		return a
+	})
+	rl := SimulateSource(loadsRT, smallConfig(), policy.NewLRU())
+	rs := SimulateSource(stores, smallConfig(), policy.NewLRU())
 	if rs.Cycles >= rl.Cycles {
 		t.Errorf("store trace (%d cycles) should be faster than load trace (%d)", rs.Cycles, rl.Cycles)
 	}
@@ -160,7 +161,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	cfg := smallConfig()
 	cfg.Cores = 0
-	Simulate(mkTrace(10, 10, stream.Z), cfg, policy.NewLRU())
+	SimulateSource(mkTrace(10, 10, stream.Z), cfg, policy.NewLRU())
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -179,12 +180,9 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 func TestMSHRMergesDuplicateMisses(t *testing.T) {
 	// Many threads missing on the same few blocks: MSHRs must merge the
 	// concurrent fetches so DRAM reads stay well below the thread count.
-	tr := make([]stream.Access, 4096)
-	for i := range tr {
-		tr[i] = stream.Access{Addr: uint64(i%8) * 64, Kind: stream.Texture}
-	}
+	tr := mkTrace(4096, 8, stream.Texture)
 	cfg := smallConfig()
-	r := Simulate(tr, cfg, policy.NewLRU())
+	r := SimulateSource(tr, cfg, policy.NewLRU())
 	// 8 distinct blocks: the LLC misses at most a handful of times and
 	// DRAM sees no more reads than LLC misses.
 	if r.DRAM.Reads > r.LLC.Misses {
@@ -198,13 +196,13 @@ func TestMSHRMergesDuplicateMisses(t *testing.T) {
 func TestSecondaryMissWaitsForFill(t *testing.T) {
 	// Two threads touching the same cold block: the second (a hit on an
 	// in-flight line) must not complete before DRAM latency allows.
-	tr := []stream.Access{
+	tr := stream.Pack([]stream.Access{
 		{Addr: 0, Kind: stream.Z},
 		{Addr: 0, Kind: stream.Z},
-	}
+	})
 	cfg := smallConfig()
 	cfg.ChunkSize = 1 // force the two accesses onto different threads
-	r := Simulate(tr, cfg, policy.NewLRU())
+	r := SimulateSource(tr, cfg, policy.NewLRU())
 	// The frame cannot finish before one DRAM round trip.
 	if r.Cycles < 60 {
 		t.Errorf("frame finished in %d cycles, before DRAM could respond", r.Cycles)

@@ -11,104 +11,77 @@ import (
 	"gspc/internal/workload"
 )
 
-// TestPackedReplayEquivalence proves the packed trace representation is
-// behavior-preserving: for one synthesized frame, replaying the packed
-// trace through every evaluated policy produces exactly the per-stream
-// hit and miss counts of the classic []stream.Access replay. This is the
-// seam the whole perf layer rests on — if packing dropped or reordered a
-// single record, or mispacked a kind/write bit, a policy would diverge
-// here first.
+// TestPackedReplayEquivalence pins the replay seam every experiment rests
+// on: for one synthesized frame, cachesim.ReplaySourceRange must produce
+// exactly the stats and per-stream counts of the plain reference loop
+// `for i { c.Access(tr.At(i)) }`, for every evaluated policy and for
+// Belady. Each is checked on a full replay, on a sub-range (the
+// interval-sampling shape), and on a set-sampled cache, where the replay
+// filters unsampled records itself before Cache.Access sees them. If the
+// column loop dropped or reordered a record, mispacked a kind/write bit,
+// or handed Belady a wrong Seq, a policy would diverge here first.
 func TestPackedReplayEquivalence(t *testing.T) {
 	o := Options{Scale: 0.1}.normalized()
-	j := workload.Suite()[0]
-	slice := trace.GenerateFrame(j, o.Scale)
-	packed := trace.GeneratePacked(j, o.Scale)
-
-	if packed.Len() != len(slice) {
-		t.Fatalf("packed.Len() = %d, slice len = %d", packed.Len(), len(slice))
-	}
-	for i, a := range slice {
-		if got := packed.At(i); got != a {
-			t.Fatalf("record %d: packed %+v != slice %+v", i, got, a)
-		}
-	}
-
-	specs := append([]policySpec{specDRRIP(), specNRU()}, fig12Specs()...)
+	tr := trace.GeneratePacked(workload.Suite()[0], o.Scale)
 	geom := o.Geometry(paperLLCBytes)
-	ctx := context.Background()
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.name, func(t *testing.T) {
-			a := replayStats(ctx, t, spec, geom, stream.Slice(slice))
-			b := replayStats(ctx, t, spec, geom, packed)
-			if a.stats != b.stats {
-				t.Errorf("stats diverge: slice %+v, packed %+v", a.stats, b.stats)
-			}
-			for _, k := range stream.Kinds() {
-				if a.tracker.KindHits(k) != b.tracker.KindHits(k) ||
-					a.tracker.KindAccesses(k) != b.tracker.KindAccesses(k) {
-					t.Errorf("%s: slice %d/%d hits/accesses, packed %d/%d", k,
-						a.tracker.KindHits(k), a.tracker.KindAccesses(k),
-						b.tracker.KindHits(k), b.tracker.KindAccesses(k))
+	n := tr.Len()
+	cases := []struct {
+		name   string
+		lo, hi int
+		sample cachesim.SetSample
+	}{
+		{"full", 0, n, cachesim.SetSample{}},
+		{"range", n / 4, 3 * n / 4, cachesim.SetSample{}},
+		{"sampled", 0, n, cachesim.SetSample{Ratio: 8, Seed: 1}},
+	}
+	check := func(t *testing.T, spec policySpec) {
+		for _, cs := range cases {
+			t.Run(cs.name, func(t *testing.T) {
+				run := func(replay func(c *cachesim.Cache) error) frameResult {
+					c := cachesim.NewSampled(geom, spec.make(), cs.sample)
+					if spec.ucd {
+						c.SetBypass(stream.Display, true)
+					}
+					tk := attachTracker(c)
+					if err := replay(c); err != nil {
+						t.Fatal(err)
+					}
+					return frameResult{stats: c.Stats, tracker: tk}
 				}
-			}
-		})
+				want := run(func(c *cachesim.Cache) error {
+					for i := cs.lo; i < cs.hi; i++ {
+						c.Access(tr.At(i))
+					}
+					return nil
+				})
+				got := run(func(c *cachesim.Cache) error {
+					return cachesim.ReplaySourceRange(context.Background(), c, tr, cs.lo, cs.hi, 0)
+				})
+				if cs.sample.Ratio > 1 && want.stats.SampledSkips == 0 {
+					t.Fatal("set sampling skipped no record")
+				}
+				if got.stats != want.stats {
+					t.Errorf("stats diverge: replay %+v, reference %+v", got.stats, want.stats)
+				}
+				for _, k := range stream.Kinds() {
+					if got.tracker.KindHits(k) != want.tracker.KindHits(k) ||
+						got.tracker.KindAccesses(k) != want.tracker.KindAccesses(k) {
+						t.Errorf("%s: replay %d/%d hits/accesses, reference %d/%d", k,
+							got.tracker.KindHits(k), got.tracker.KindAccesses(k),
+							want.tracker.KindHits(k), want.tracker.KindAccesses(k))
+					}
+				}
+			})
+		}
 	}
 
-	// Belady consumes the trace twice (next-use preprocessing + replay),
-	// so it exercises both NextUse paths.
+	for _, spec := range append([]policySpec{specDRRIP(), specNRU()}, fig12Specs()...) {
+		t.Run(spec.name, func(t *testing.T) { check(t, spec) })
+	}
+	// Belady keys its lookahead on Seq, which the replay must set to the
+	// record's position in the whole trace, also inside a sub-range.
+	next := belady.NextUseTrace(tr, blockShift(geom.BlockSize))
 	t.Run("Belady", func(t *testing.T) {
-		a := beladyStats(ctx, t, geom, slice)
-		b, err := runBelady(ctx, packed, geom, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.stats != b.stats {
-			t.Errorf("stats diverge: slice %+v, packed %+v", a.stats, b.stats)
-		}
+		check(t, policySpec{name: "Belady", make: func() cachesim.Policy { return belady.NewOPT(next) }})
 	})
-}
-
-// replayStats replays src through one policy and returns the result.
-func replayStats(ctx context.Context, t *testing.T, spec policySpec, geom cachesim.Geometry, src stream.Source) frameResult {
-	t.Helper()
-	c := cachesim.New(geom, spec.make())
-	if spec.ucd {
-		c.SetBypass(stream.Display, true)
-	}
-	tk := attachTracker(c)
-	if err := cachesim.ReplaySource(ctx, c, src, 0); err != nil {
-		t.Fatal(err)
-	}
-	return frameResult{stats: c.Stats, tracker: tk}
-}
-
-// beladyStats is the classic slice-based Belady replay, kept inline so
-// the test compares against the pre-refactor formulation.
-func beladyStats(ctx context.Context, t *testing.T, geom cachesim.Geometry, tr []stream.Access) frameResult {
-	t.Helper()
-	next := belady.NextUse(tr, blockShift(geom.BlockSize))
-	c := cachesim.New(geom, belady.NewOPT(next))
-	tk := attachTracker(c)
-	if err := cachesim.Replay(ctx, c, tr, 0); err != nil {
-		t.Fatal(err)
-	}
-	return frameResult{stats: c.Stats, tracker: tk}
-}
-
-// TestTraceRoundTrip checks Pack/Materialize and the packed disk format
-// against the slice-based container format byte-for-byte.
-func TestTraceRoundTrip(t *testing.T) {
-	o := Options{Scale: 0.05}.normalized()
-	slice := trace.GenerateFrame(workload.Suite()[1], o.Scale)
-	packed := stream.Pack(slice)
-	back := packed.Materialize()
-	if len(back) != len(slice) {
-		t.Fatalf("materialized %d records, want %d", len(back), len(slice))
-	}
-	for i := range slice {
-		if back[i] != slice[i] {
-			t.Fatalf("record %d: %+v != %+v", i, back[i], slice[i])
-		}
-	}
 }

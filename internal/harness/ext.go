@@ -7,7 +7,6 @@ import (
 	"gspc/internal/cachesim"
 	"gspc/internal/core"
 	"gspc/internal/memmap"
-	"gspc/internal/pipeline"
 	"gspc/internal/policy"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
@@ -76,11 +75,11 @@ func RunExtWarm(o Options) (*Table, error) {
 		}
 		// Both frames come from the shared trace cache, so a warm sweep
 		// after any suite experiment re-synthesizes nothing.
-		tr0, err := genTrace(ctx, o, workload.FrameJob{App: p, Index: 0})
+		tr0, err := genTrace(ctx, o, workload.FrameJob{App: p, Index: 0}, 0)
 		if err != nil {
 			return nil, err
 		}
-		tr1, err := genTrace(ctx, o, workload.FrameJob{App: p, Index: 1})
+		tr1, err := genTrace(ctx, o, workload.FrameJob{App: p, Index: 1}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -343,8 +342,8 @@ func RunAblMorton(o Options) (*Table, error) {
 			return nil, err
 		}
 		cfg := rendercache.DefaultConfig().Scaled(o.Scale)
-		traceForLayout(rowTr, j, o.Scale, cfg, memmap.LayoutRowMajor)
-		traceForLayout(morTr, j, o.Scale, cfg, memmap.LayoutMorton)
+		trace.GenerateLayoutInto(rowTr, j, o.Scale, cfg, memmap.LayoutRowMajor)
+		trace.GenerateLayoutInto(morTr, j, o.Scale, cfg, memmap.LayoutMorton)
 		row := perApp[j.App.Abbrev]
 		if row == nil {
 			row = &[4]float64{}
@@ -378,13 +377,4 @@ func RunAblMorton(o Options) (*Table, error) {
 		sums[2]/float64(len(order)), sums[3]/float64(len(order)))
 	t.Notes = append(t.Notes, "GSPC columns: GSPC+UCD misses normalized to DRRIP on the same trace")
 	return t, nil
-}
-
-// traceForLayout renders one frame with an explicit surface layout into
-// t, resetting it first (Seq is implicit in the packed representation).
-func traceForLayout(t *stream.Trace, j workload.FrameJob, scale float64, cfg rendercache.Config, layout memmap.Layout) {
-	t.Reset()
-	rc := rendercache.New(cfg, t)
-	frame := j.App.BuildFrameLayout(j.Index, scale, layout)
-	pipeline.NewRenderer(rc).RenderFrame(frame)
 }

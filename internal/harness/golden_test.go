@@ -24,6 +24,22 @@ func goldenOptions() Options {
 	}
 }
 
+// sampledGoldenOptions pins the sampled timing path. At scale 0.25 a
+// sampled run engages interval sampling, so Figure 15's timing model
+// simulates only the warmup-plus-measured window of the frame trace; the
+// exact goldenOptions scale never reaches that code. Heaven is pinned
+// because its window separates the policies (several apps' windows are
+// compute-bound and tie every column at 1).
+func sampledGoldenOptions() Options {
+	return Options{
+		Scale:           0.25,
+		CapacityFactor:  1.5,
+		MaxFramesPerApp: 1,
+		Apps:            []string{"Heaven"},
+		Fidelity:        FidelitySampled,
+	}
+}
+
 // goldenTable is the serialized form of one experiment table: every cell
 // at full float64 precision (bit-exact through JSON round-trips).
 type goldenTable struct {
@@ -60,6 +76,12 @@ func TestGoldenTables(t *testing.T) {
 		}
 		got[e.ID] = tableToGolden(tbl)
 	}
+	fig15, _ := ByID("fig15")
+	tbl, err := fig15.Run(sampledGoldenOptions())
+	if err != nil {
+		t.Fatalf("fig15-sampled: %v", err)
+	}
+	got["fig15-sampled"] = tableToGolden(tbl)
 
 	path := filepath.Join("testdata", "golden.json")
 	if *updateGolden {

@@ -409,17 +409,27 @@ func (o Options) traceCache() *tracecache.Cache {
 
 // genTrace returns the packed LLC trace for a job at the options' scale,
 // through the frame-trace cache: hits are free, misses synthesize once
-// even under concurrent identical requests. The returned trace is shared
-// and must not be mutated.
-func genTrace(ctx context.Context, o Options, j workload.FrameJob) (*stream.Trace, error) {
+// even under concurrent identical requests. A positive limit synthesizes
+// only the first limit records (0 = the full trace); the prefix of a
+// deterministic render is itself deterministic, so prefix traces cache
+// under their own key (Key.Prefix) and are shared like full traces. The
+// returned trace is shared and must not be mutated.
+func genTrace(ctx context.Context, o Options, j workload.FrameJob, limit int) (*stream.Trace, error) {
 	o = o.normalized()
 	cfg := rendercache.DefaultConfig().Scaled(o.Scale)
-	key := tracecache.Key{Job: j.ID(), Scale: o.Scale, Config: cfg.Digest()}
+	key := tracecache.Key{Job: j.ID(), Scale: o.Scale, Config: cfg.Digest(), Prefix: limit}
 	return o.traceCache().Get(ctx, key, func(ctx context.Context) (*stream.Trace, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		defer trackStage(ctx, pickSynth)()
+		if limit > 0 {
+			defer telemetry.StartFrom(ctx, "synthesize-prefix", "synth",
+				telemetry.String("job", j.ID()), telemetry.Int("limit", int64(limit))).End()
+			t := stream.NewTrace(limit)
+			trace.GeneratePackedPrefix(t, j, o.Scale, cfg, limit)
+			return t, nil
+		}
 		defer telemetry.StartFrom(ctx, "synthesize", "synth", telemetry.String("job", j.ID())).End()
 		t := stream.NewTrace(trace.EstimateAccesses(j, o.Scale))
 		trace.GeneratePackedInto(t, j, o.Scale, cfg)

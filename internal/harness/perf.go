@@ -44,11 +44,12 @@ func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
 		// sampling would distort queueing and DRAM row behavior) and the
 		// cycle counts are extrapolated by the estimated full-trace record
 		// ratio. The factor cancels in the normalized columns; it only
-		// shapes the absolute-fps note.
-		var src stream.Source = tr
+		// shapes the absolute-fps note. No timing spec is Belady, so the
+		// window's positions restarting at 0 cannot matter.
+		src := tr
 		cycleScale := 1.0
 		if plan != nil {
-			w := stream.NewWindow(tr, plan.warmStart, tr.Len())
+			w := tr.Sub(plan.warmStart, tr.Len())
 			if n := w.Len(); n > 0 && plan.fullEst > 0 {
 				src = w
 				cycleScale = plan.fullEst / float64(n)

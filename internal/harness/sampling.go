@@ -8,11 +8,8 @@ import (
 	"gspc/internal/cachesim"
 	"gspc/internal/core"
 	"gspc/internal/policy"
-	"gspc/internal/rendercache"
 	"gspc/internal/stream"
 	"gspc/internal/telemetry"
-	"gspc/internal/trace"
-	"gspc/internal/tracecache"
 	"gspc/internal/workload"
 )
 
@@ -248,27 +245,6 @@ func pickWindow(profile *stream.Trace) windowPick {
 	}
 }
 
-// genTracePrefix synthesizes (through the trace cache) only the first
-// limit records of a frame's trace. The prefix of a deterministic
-// render is itself deterministic, so prefix traces cache under their
-// own key (Key.Prefix) and are shared like full traces.
-func genTracePrefix(ctx context.Context, o Options, j workload.FrameJob, limit int) (*stream.Trace, error) {
-	o = o.normalized()
-	cfg := rendercache.DefaultConfig().Scaled(o.Scale)
-	key := tracecache.Key{Job: j.ID(), Scale: o.Scale, Config: cfg.Digest(), Prefix: limit}
-	return o.traceCache().Get(ctx, key, func(ctx context.Context) (*stream.Trace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		defer trackStage(ctx, pickSynth)()
-		defer telemetry.StartFrom(ctx, "synthesize-prefix", "synth",
-			telemetry.String("job", j.ID()), telemetry.Int("limit", int64(limit))).End()
-		t := stream.NewTrace(limit)
-		trace.GeneratePackedPrefix(t, j, o.Scale, cfg, limit)
-		return t, nil
-	})
-}
-
 // genTraceSampled acquires the trace and sampling plan for one frame of
 // a sampled-fidelity run: profile the frame at a reduced scale, pick
 // the representative window, synthesize the full-scale trace only up to
@@ -287,7 +263,7 @@ func genTraceSampled(ctx context.Context, o Options, j workload.FrameJob) (*stre
 		// Below this scale the fixed-scale profiles would cost a large
 		// fraction of (or more than) the run they are meant to shortcut,
 		// so only set sampling applies, over the full trace.
-		tr, err := genTrace(ctx, o, j)
+		tr, err := genTrace(ctx, o, j, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,12 +276,12 @@ func genTraceSampled(ctx context.Context, o Options, j workload.FrameJob) (*stre
 	// scale keys, so repeated sampled runs share them.
 	po := o
 	po.Scale = profileScale1
-	prof1, err := genTrace(ctx, po, j)
+	prof1, err := genTrace(ctx, po, j, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	po.Scale = profileScale2
-	prof, err := genTrace(ctx, po, j)
+	prof, err := genTrace(ctx, po, j, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,7 +289,7 @@ func genTraceSampled(ctx context.Context, o Options, j workload.FrameJob) (*stre
 	fullEst := estimateFull(prof1.Len(), prof.Len(), profileScale1, profileScale2, o.Scale)
 	plan.fullEst = fullEst
 	if pick.endFrac >= 1 {
-		tr, err := genTrace(ctx, o, j)
+		tr, err := genTrace(ctx, o, j, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -321,7 +297,7 @@ func genTraceSampled(ctx context.Context, o Options, j workload.FrameJob) (*stre
 		return tr, plan, nil
 	}
 	limit := int(math.Ceil(pick.endFrac * fullEst))
-	tr, err := genTracePrefix(ctx, o, j, limit)
+	tr, err := genTrace(ctx, o, j, limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -349,7 +325,7 @@ func acquireFrame(ctx context.Context, o Options, j workload.FrameJob) (*stream.
 	if o.sampled() {
 		return genTraceSampled(ctx, o, j)
 	}
-	tr, err := genTrace(ctx, o, j)
+	tr, err := genTrace(ctx, o, j, 0)
 	return tr, nil, err
 }
 

@@ -153,7 +153,7 @@ func TestIntervalSamplingEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := genTrace(context.Background(), o, j)
+	full, err := genTrace(context.Background(), o, j, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestIntervalSamplingEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullS, err := genTrace(context.Background(), small, js)
+	fullS, err := genTrace(context.Background(), small, js, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,11 @@
 // it; the LLC policies in internal/core key their decisions on this
 // identity but never need to store it per block (except for render
 // targets, which are tracked with the block state bits).
+//
+// A frame's LLC access trace is held in one form only, the packed Trace
+// (9 bytes per record, Seq implicit in position). Access is the
+// per-reference value that caches, policies and observers see; replay
+// loops build it from the trace columns one record at a time.
 package stream
 
 import "fmt"

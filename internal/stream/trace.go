@@ -1,77 +1,18 @@
 package stream
 
-// Source is a read-only positional view of an access trace. Both the
-// packed Trace and a plain []Access (via Slice) implement it, so every
-// replay loop in the repository — the offline simulator, Belady
-// preprocessing, and the GPU timing model — can consume either
-// representation through one seam.
-//
-// At(i) must return the access at trace position i with Seq set to the
-// position (the invariant every generated trace already satisfies),
-// which is what Belady's OPT keys its lookahead on.
-type Source interface {
-	Len() int
-	At(i int) Access
-}
+// RecordBytes is the packed per-record footprint: an 8-byte address plus
+// a 1-byte meta (kind + write flag), mirroring the on-disk container
+// format of internal/trace. Admission control estimates a request's
+// in-flight trace memory as EstimateAccesses × RecordBytes before any
+// trace is synthesized.
+const RecordBytes = 9
 
-// Slice adapts a []Access to the Source interface. At trusts the stored
-// Seq fields, so a slice whose Seq was assigned in trace order behaves
-// identically to the packed form.
-type Slice []Access
-
-// Len implements Source.
-func (s Slice) Len() int { return len(s) }
-
-// At implements Source.
-func (s Slice) At(i int) Access { return s[i] }
-
-// Window is a positional view of the record range [Lo, Hi) of a Source,
-// used by interval-sampled timing runs to simulate one representative
-// window of a frame trace. At(i) preserves the underlying source's
-// global sequence numbers (it returns src.At(Lo+i) unchanged), so
-// consumers that key on Seq see the same values a full replay would.
-type Window struct {
-	Src    Source
-	Lo, Hi int
-}
-
-// NewWindow returns the [lo, hi) view of src, clamped to its bounds.
-func NewWindow(src Source, lo, hi int) Window {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := src.Len(); hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return Window{Src: src, Lo: lo, Hi: hi}
-}
-
-// Len implements Source.
-func (w Window) Len() int { return w.Hi - w.Lo }
-
-// At implements Source.
-func (w Window) At(i int) Access { return w.Src.At(w.Lo + i) }
-
-// traceRecordBytes is the packed per-record footprint: an 8-byte address
-// plus a 1-byte meta (kind + write flag), mirroring the on-disk
-// container format of internal/trace. A stream.Access costs 24 bytes
-// (address, explicit Seq, padded flags), so packing cuts trace memory
-// about 2.7x.
-const traceRecordBytes = 9
-
-// RecordBytes is the packed per-record footprint, exported so admission
-// control can estimate a request's in-flight trace memory as
-// EstimateAccesses × RecordBytes before any trace is synthesized.
-const RecordBytes = traceRecordBytes
-
-// Trace is a packed access trace: structure-of-arrays with one uint64
-// address and one meta byte per record, and Seq implicit in the record
-// index. It is append-only while being built and safe for any number of
-// concurrent readers once built — the shared frame-trace cache hands the
-// same *Trace to every experiment replaying that frame.
+// Trace is the repository's one access-trace container: structure-of-
+// arrays with one uint64 address and one meta byte per record, and Seq
+// implicit in the record index. It is append-only while being built and
+// safe for any number of concurrent readers once built — the shared
+// frame-trace cache hands the same *Trace to every experiment replaying
+// that frame.
 type Trace struct {
 	addrs []uint64
 	meta  []uint8
@@ -106,8 +47,9 @@ func NewTrace(capacity int) *Trace {
 	}
 }
 
-// Pack converts a []Access to the packed representation. Seq fields are
-// discarded: the packed trace's positions are its sequence numbers.
+// Pack builds a trace from access literals — the constructor for
+// hand-written test traces. Seq fields are discarded: the trace's
+// positions are its sequence numbers.
 func Pack(accs []Access) *Trace {
 	t := NewTrace(len(accs))
 	for _, a := range accs {
@@ -116,10 +58,10 @@ func Pack(accs []Access) *Trace {
 	return t
 }
 
-// Len implements Source.
+// Len returns the number of records.
 func (t *Trace) Len() int { return len(t.addrs) }
 
-// At implements Source: the access at position i, with Seq = i.
+// At returns the access at position i, with Seq = i.
 func (t *Trace) At(i int) Access {
 	k, w := UnpackMeta(t.meta[i])
 	return Access{Addr: t.addrs[i], Seq: int64(i), Kind: k, Write: w}
@@ -143,8 +85,7 @@ func (t *Trace) Append(a Access) {
 }
 
 // Emit implements Sink, so a Trace can terminate a render-cache complex
-// directly and collect the packed LLC trace with no intermediate
-// []Access.
+// directly and collect the LLC trace as it is rendered.
 func (t *Trace) Emit(a Access) { t.Append(a) }
 
 // Reset empties the trace, keeping the allocated capacity so the buffer
@@ -186,12 +127,15 @@ func (t *Trace) Records() (addrs []uint64, meta []uint8) {
 	return t.addrs, t.meta
 }
 
-// Materialize converts the packed trace back to a []Access with Seq
-// assigned in order, for consumers that still need the slice form.
-func (t *Trace) Materialize() []Access {
-	out := make([]Access, t.Len())
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out
+// Sub returns the [lo, hi) record range of t as a trace of its own,
+// clamped to t's bounds. The view shares t's columns without copying;
+// its capacity ends at hi, so an Append on the view reallocates rather
+// than writing into the parent (after a Reset it would not, so never
+// Reset a view). Positions restart at 0, so At(i) on the view carries
+// Seq = i, not lo+i: a view must never feed Belady's OPT, whose
+// next-use chain is keyed on the parent's positions.
+func (t *Trace) Sub(lo, hi int) *Trace {
+	lo = min(max(lo, 0), t.Len())
+	hi = min(max(hi, lo), t.Len())
+	return &Trace{addrs: t.addrs[lo:hi:hi], meta: t.meta[lo:hi:hi]}
 }

@@ -1,8 +1,9 @@
-// Package trace provides LLC access trace capture, a binary container
-// format for storing traces on disk, and the glue that renders a workload
-// frame through the render cache complex to produce its LLC trace — the
-// equivalent of the paper's "LLC load/store access trace collected from
-// the detailed simulator for each frame" (Section 2).
+// Package trace renders a workload frame through the render cache
+// complex to produce its LLC access trace — the equivalent of the
+// paper's "LLC load/store access trace collected from the detailed
+// simulator for each frame" (Section 2) — and stores traces on disk in a
+// binary container. Both directions work on the packed stream.Trace,
+// whose 9-byte record is also the on-disk record.
 package trace
 
 import (
@@ -13,25 +14,16 @@ import (
 	"io"
 	"sync"
 
+	"gspc/internal/memmap"
 	"gspc/internal/pipeline"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
 	"gspc/internal/workload"
 )
 
-// Collector is a stream.Sink that records every access in order.
-type Collector struct {
-	Accesses []stream.Access
-}
-
-// Emit implements stream.Sink.
-func (c *Collector) Emit(a stream.Access) {
-	c.Accesses = append(c.Accesses, a)
-}
-
 // sizeHints remembers the most recent trace length per (job, scale), so
 // repeat synthesis of a frame — benchmarks, sweeps with the trace cache
-// disabled or evicting — pre-sizes its collector instead of paying a
+// disabled or evicting — pre-sizes its trace instead of paying a
 // dozen append regrowths of a multi-megabyte buffer. The hint only
 // shapes allocation, never content.
 var sizeHints sync.Map // "job|scale" -> int
@@ -61,43 +53,15 @@ func recordSize(job workload.FrameJob, scale float64, n int) {
 	sizeHints.Store(hintKey(job, scale), n)
 }
 
-// GenerateFrame renders one suite frame at the given linear scale through
-// a render cache complex (scaled to match) and returns the resulting LLC
-// access trace. Seq fields are assigned in trace order so the trace is
-// directly consumable by Belady preprocessing.
+// GeneratePacked renders one suite frame at the given linear scale
+// through a render cache complex (scaled to match) and returns the
+// resulting LLC access trace.
 //
 // The render caches are scaled by the linear factor, not by area: their
 // working sets are dominated by rows of surface tiles (line buffers),
 // whose footprint grows with resolution, not with pixel count. Scaling
 // them linearly keeps the filtered LLC stream mix representative of the
 // full-resolution configuration.
-func GenerateFrame(job workload.FrameJob, scale float64) []stream.Access {
-	return GenerateFrameWithCaches(job, scale, rendercache.DefaultConfig().Scaled(scale))
-}
-
-// GenerateFrameWithCaches is GenerateFrame with an explicit render cache
-// configuration (used by ablation benches that vary the front caches).
-func GenerateFrameWithCaches(job workload.FrameJob, scale float64, cfg rendercache.Config) []stream.Access {
-	col := &Collector{Accesses: make([]stream.Access, 0, EstimateAccesses(job, scale))}
-	rc := rendercache.New(cfg, col)
-	frame := job.Build(scale)
-	if err := frame.Validate(); err != nil {
-		panic(fmt.Sprintf("trace: invalid frame %s: %v", job.ID(), err))
-	}
-	r := pipeline.NewRenderer(rc)
-	r.RenderFrame(frame)
-	for i := range col.Accesses {
-		col.Accesses[i].Seq = int64(i)
-	}
-	recordSize(job, scale, len(col.Accesses))
-	return col.Accesses
-}
-
-// GeneratePacked renders one suite frame directly into a packed
-// stream.Trace: the render-cache miss stream is collected at 9 bytes per
-// record with Seq implicit in position, skipping the []stream.Access
-// intermediate entirely. This is the synthesis path behind the shared
-// frame-trace cache.
 func GeneratePacked(job workload.FrameJob, scale float64) *stream.Trace {
 	t := stream.NewTrace(EstimateAccesses(job, scale))
 	GeneratePackedInto(t, job, scale, rendercache.DefaultConfig().Scaled(scale))
@@ -111,13 +75,27 @@ func GeneratePacked(job workload.FrameJob, scale float64) *stream.Trace {
 func GeneratePackedInto(t *stream.Trace, job workload.FrameJob, scale float64, cfg rendercache.Config) {
 	t.Reset()
 	t.Grow(EstimateAccesses(job, scale))
-	rc := rendercache.New(cfg, t)
-	frame := job.Build(scale)
-	if err := frame.Validate(); err != nil {
-		panic(fmt.Sprintf("trace: invalid frame %s: %v", job.ID(), err))
-	}
-	pipeline.NewRenderer(rc).RenderFrame(frame)
+	render(t, job.ID(), job.Build(scale), cfg)
 	recordSize(job, scale, t.Len())
+}
+
+// GenerateLayoutInto is GeneratePackedInto with an explicit tile layout
+// for the GPU-internal surfaces (the row-major vs Morton ablation). The
+// size hints are keyed by job and scale only, so a layout render neither
+// reads nor updates them.
+func GenerateLayoutInto(t *stream.Trace, job workload.FrameJob, scale float64, cfg rendercache.Config, layout memmap.Layout) {
+	t.Reset()
+	render(t, job.ID(), job.App.BuildFrameLayout(job.Index, scale, layout), cfg)
+}
+
+// render validates frame and renders it through a render cache complex
+// configured by cfg, emitting the LLC access stream into sink. Every
+// synthesis path goes through it, so no invalid frame is ever rendered.
+func render(sink stream.Sink, id string, frame *pipeline.Frame, cfg rendercache.Config) {
+	if err := frame.Validate(); err != nil {
+		panic(fmt.Sprintf("trace: invalid frame %s: %v", id, err))
+	}
+	pipeline.NewRenderer(rendercache.New(cfg, sink)).RenderFrame(frame)
 }
 
 // prefixDone is the sentinel a limitSink panics with to abort rendering
@@ -157,11 +135,6 @@ func GeneratePackedPrefix(t *stream.Trace, job workload.FrameJob, scale float64,
 		return
 	}
 	t.Grow(limit)
-	rc := rendercache.New(cfg, &limitSink{t: t, limit: limit})
-	frame := job.Build(scale)
-	if err := frame.Validate(); err != nil {
-		panic(fmt.Sprintf("trace: invalid frame %s: %v", job.ID(), err))
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(prefixDone); !ok {
@@ -169,7 +142,7 @@ func GeneratePackedPrefix(t *stream.Trace, job workload.FrameJob, scale float64,
 			}
 		}
 	}()
-	pipeline.NewRenderer(rc).RenderFrame(frame)
+	render(&limitSink{t: t, limit: limit}, job.ID(), job.Build(scale), cfg)
 }
 
 // Binary container format:
@@ -186,25 +159,24 @@ var magic = [8]byte{'G', 'S', 'P', 'C', 'T', 'R', 'C', '1'}
 // ErrBadMagic reports a container that is not a GSPC trace.
 var ErrBadMagic = errors.New("trace: bad magic")
 
-// Write stores a trace in the binary container format.
-func Write(w io.Writer, accs []stream.Access) error {
+// WriteTrace stores a trace in the binary container format. The on-disk
+// record (addr uint64 + meta uint8) is exactly the packed in-memory
+// record.
+func WriteTrace(w io.Writer, t *stream.Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(accs)))
+	binary.LittleEndian.PutUint64(hdr[:], uint64(t.Len()))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var rec [9]byte
-	for _, a := range accs {
-		binary.LittleEndian.PutUint64(rec[:8], a.Addr)
-		m := uint8(a.Kind) & 0x7f
-		if a.Write {
-			m |= 0x80
-		}
-		rec[8] = m
+	var rec [stream.RecordBytes]byte
+	addrs, meta := t.Records()
+	for i, addr := range addrs {
+		binary.LittleEndian.PutUint64(rec[:8], addr)
+		rec[8] = meta[i]
 		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
@@ -212,9 +184,12 @@ func Write(w io.Writer, accs []stream.Access) error {
 	return bw.Flush()
 }
 
-// Read loads a trace from the binary container format, assigning Seq in
-// order.
-func Read(r io.Reader) ([]stream.Access, error) {
+// ReadTrace loads a trace from the binary container format. It is the
+// one decoder for traces read from disk, so it treats its input as
+// untrusted: a bad magic, an implausible or truncated record count, or
+// an invalid stream kind is an error, never a panic or a huge
+// allocation.
+func ReadTrace(r io.Reader) (*stream.Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -236,75 +211,6 @@ func Read(r io.Reader) ([]stream.Access, error) {
 	// so cap the up-front allocation and let append grow the rest as
 	// records actually arrive (a truncated file then fails fast instead
 	// of allocating gigabytes).
-	capHint := int(count)
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	accs := make([]stream.Access, 0, capHint)
-	var rec [9]byte
-	for i := int64(0); i < int64(count); i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-		}
-		k := stream.Kind(rec[8] & 0x7f)
-		if !k.Valid() {
-			return nil, fmt.Errorf("trace: record %d has invalid kind %d", i, rec[8]&0x7f)
-		}
-		accs = append(accs, stream.Access{
-			Addr:  binary.LittleEndian.Uint64(rec[:8]),
-			Seq:   i,
-			Kind:  k,
-			Write: rec[8]&0x80 != 0,
-		})
-	}
-	return accs, nil
-}
-
-// WriteTrace stores a packed trace in the binary container format. The
-// on-disk record (addr uint64 + meta uint8) is exactly the packed
-// in-memory record, so no intermediate slice is built.
-func WriteTrace(w io.Writer, t *stream.Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(t.Len()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [9]byte
-	for i, n := 0, t.Len(); i < n; i++ {
-		binary.LittleEndian.PutUint64(rec[:8], t.Addr(i))
-		rec[8] = stream.PackMeta(t.KindAt(i), t.WriteAt(i))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace loads a trace from the binary container format into the
-// packed representation, at 9 bytes per record instead of 24.
-func ReadTrace(r io.Reader) (*stream.Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const maxReasonable = 1 << 32
-	if count > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible record count %d", count)
-	}
-	// Same untrusted-header rule as Read: cap the up-front allocation.
 	capHint := int(count)
 	if capHint > 1<<20 {
 		capHint = 1 << 20

@@ -10,71 +10,62 @@ import (
 	"gspc/internal/workload"
 )
 
+// encode writes tr in the container format, failing the test on error.
+func encode(t *testing.T, tr *stream.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRoundTrip(t *testing.T) {
-	in := []stream.Access{
+	in := stream.Pack([]stream.Access{
 		{Addr: 0x1234, Kind: stream.Z, Write: true},
 		{Addr: 0xdeadbeef, Kind: stream.Texture},
 		{Addr: 0, Kind: stream.Display, Write: true},
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Read(&buf)
+	})
+	out, err := ReadTrace(bytes.NewReader(encode(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d, want %d", len(out), len(in))
+	if out.Len() != in.Len() {
+		t.Fatalf("len = %d, want %d", out.Len(), in.Len())
 	}
-	for i := range in {
-		if out[i].Addr != in[i].Addr || out[i].Kind != in[i].Kind || out[i].Write != in[i].Write {
-			t.Errorf("record %d: %+v != %+v", i, out[i], in[i])
-		}
-		if out[i].Seq != int64(i) {
-			t.Errorf("record %d seq = %d", i, out[i].Seq)
+	for i := range in.Len() {
+		if got, want := out.At(i), in.At(i); got != want {
+			t.Errorf("record %d: %+v != %+v", i, got, want)
 		}
 	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Read(&buf)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty roundtrip: %v, %d records", err, len(out))
+	out, err := ReadTrace(bytes.NewReader(encode(t, stream.NewTrace(0))))
+	if err != nil || out.Len() != 0 {
+		t.Fatalf("empty roundtrip: %v, %d records", err, out.Len())
 	}
 }
 
 func TestBadMagic(t *testing.T) {
-	_, err := Read(bytes.NewReader([]byte("NOTATRACE_______")))
+	_, err := ReadTrace(bytes.NewReader([]byte("NOTATRACE_______")))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Errorf("err = %v, want ErrBadMagic", err)
 	}
 }
 
 func TestTruncatedTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, []stream.Access{{Addr: 1}, {Addr: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	_, err := Read(bytes.NewReader(raw[:len(raw)-3]))
+	raw := encode(t, stream.Pack([]stream.Access{{Addr: 1}, {Addr: 2}}))
+	_, err := ReadTrace(bytes.NewReader(raw[:len(raw)-3]))
 	if err == nil {
 		t.Error("truncated trace accepted")
 	}
 }
 
 func TestInvalidKindRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, []stream.Access{{Addr: 1, Kind: stream.Z}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(t, stream.Pack([]stream.Access{{Addr: 1, Kind: stream.Z}}))
 	raw[len(raw)-1] = 0x5f // kind 31, invalid
-	_, err := Read(bytes.NewReader(raw))
+	_, err := ReadTrace(bytes.NewReader(raw))
 	if err == nil {
 		t.Error("invalid kind accepted")
 	}
@@ -82,24 +73,24 @@ func TestInvalidKindRejected(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	f := func(addrs []uint32, kinds []byte, writes []bool) bool {
-		in := make([]stream.Access, len(addrs))
+		in := stream.NewTrace(len(addrs))
 		for i, ad := range addrs {
-			in[i].Addr = uint64(ad)
+			a := stream.Access{Addr: uint64(ad), Write: i < len(writes) && writes[i]}
 			if i < len(kinds) {
-				in[i].Kind = stream.Kind(kinds[i] % byte(stream.NumKinds))
+				a.Kind = stream.Kind(kinds[i] % byte(stream.NumKinds))
 			}
-			in[i].Write = i < len(writes) && writes[i]
+			in.Append(a)
 		}
 		var buf bytes.Buffer
-		if Write(&buf, in) != nil {
+		if WriteTrace(&buf, in) != nil {
 			return false
 		}
-		out, err := Read(&buf)
-		if err != nil || len(out) != len(in) {
+		out, err := ReadTrace(&buf)
+		if err != nil || out.Len() != in.Len() {
 			return false
 		}
-		for i := range in {
-			if out[i].Addr != in[i].Addr || out[i].Kind != in[i].Kind || out[i].Write != in[i].Write {
+		for i := range in.Len() {
+			if out.At(i) != in.At(i) {
 				return false
 			}
 		}
@@ -112,13 +103,13 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestGenerateFrameDeterministic(t *testing.T) {
 	j := workload.Suite()[3]
-	a := GenerateFrame(j, 0.1)
-	b := GenerateFrame(j, 0.1)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	a := GeneratePacked(j, 0.1)
+	b := GeneratePacked(j, 0.1)
+	if a.Len() != b.Len() {
+		t.Fatalf("trace lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range a.Len() {
+		if a.At(i) != b.At(i) {
 			t.Fatalf("traces diverge at %d", i)
 		}
 	}
@@ -126,11 +117,12 @@ func TestGenerateFrameDeterministic(t *testing.T) {
 
 func TestGenerateFrameSeqAssigned(t *testing.T) {
 	j := workload.Suite()[0]
-	tr := GenerateFrame(j, 0.1)
-	if len(tr) == 0 {
+	tr := GeneratePacked(j, 0.1)
+	if tr.Len() == 0 {
 		t.Fatal("empty trace")
 	}
-	for i, a := range tr {
+	for i := range tr.Len() {
+		a := tr.At(i)
 		if a.Seq != int64(i) {
 			t.Fatalf("seq[%d] = %d", i, a.Seq)
 		}
@@ -142,10 +134,10 @@ func TestGenerateFrameSeqAssigned(t *testing.T) {
 
 func TestGenerateFrameHasAllMajorStreams(t *testing.T) {
 	j := workload.Suite()[0]
-	tr := GenerateFrame(j, 0.15)
+	tr := GeneratePacked(j, 0.15)
 	var counts [stream.NumKinds]int
-	for _, a := range tr {
-		counts[a.Kind]++
+	for i := range tr.Len() {
+		counts[tr.KindAt(i)]++
 	}
 	for _, k := range []stream.Kind{stream.Vertex, stream.HiZ, stream.Z, stream.RT, stream.Texture, stream.Display} {
 		if counts[k] == 0 {
@@ -153,18 +145,9 @@ func TestGenerateFrameHasAllMajorStreams(t *testing.T) {
 		}
 	}
 	// The two dominant streams of Figure 4 must dominate here too.
-	tot := len(tr)
+	tot := tr.Len()
 	if counts[stream.RT]+counts[stream.Texture] < tot/2 {
 		t.Errorf("rt+texture = %d of %d accesses; expected the majority", counts[stream.RT]+counts[stream.Texture], tot)
-	}
-}
-
-func TestCollector(t *testing.T) {
-	c := &Collector{}
-	c.Emit(stream.Access{Addr: 5})
-	c.Emit(stream.Access{Addr: 6})
-	if len(c.Accesses) != 2 || c.Accesses[1].Addr != 6 {
-		t.Errorf("collector = %+v", c.Accesses)
 	}
 }
 
@@ -177,7 +160,7 @@ func TestHugeCountHeaderFailsFast(t *testing.T) {
 	hdr[3] = 0x40 // ~1 billion records
 	buf.Write(hdr[:])
 	buf.WriteString("short body")
-	if _, err := Read(&buf); err == nil {
+	if _, err := ReadTrace(&buf); err == nil {
 		t.Fatal("truncated huge-count trace accepted")
 	}
 }
