@@ -24,8 +24,9 @@ func goldenOptions() Options {
 	}
 }
 
-// sampledGoldenOptions pins the sampled timing path. At scale 0.25 a
-// sampled run engages interval sampling, so Figure 15's timing model
+// sampledGoldenOptions pins the sampled paths. At scale 0.25 a sampled
+// run engages interval sampling: offline replays warm on the prefix,
+// measure the window and extrapolate, and Figure 15's timing model
 // simulates only the warmup-plus-measured window of the frame trace; the
 // exact goldenOptions scale never reaches that code. Heaven is pinned
 // because its window separates the policies (several apps' windows are
@@ -64,10 +65,13 @@ func tableToGolden(t *Table) goldenTable {
 
 // TestGoldenTables regenerates every experiment — the paper's figures
 // and tables plus the extensions — at the pinned configuration and
-// requires each cell to match testdata/golden.json bit for bit. Run with
+// requires each cell to match testdata/golden.json bit for bit, and each
+// exact table to come out identical at Workers=1. Run with
 // -update-golden to re-pin after an intentional model change.
 func TestGoldenTables(t *testing.T) {
 	o := goldenOptions()
+	serial := o
+	serial.Workers = 1
 	got := map[string]goldenTable{}
 	for _, e := range allExperiments() {
 		tbl, err := e.Run(o)
@@ -75,13 +79,25 @@ func TestGoldenTables(t *testing.T) {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		got[e.ID] = tableToGolden(tbl)
+		// Results are accumulated positionally, so the worker budget
+		// must not change a single bit.
+		one, err := e.Run(serial)
+		if err != nil {
+			t.Fatalf("%s (Workers=1): %v", e.ID, err)
+		}
+		compareGolden(t, e.ID+" (Workers=1)", got[e.ID], tableToGolden(one))
 	}
-	fig15, _ := ByID("fig15")
-	tbl, err := fig15.Run(sampledGoldenOptions())
-	if err != nil {
-		t.Fatalf("fig15-sampled: %v", err)
+	// The sampled entries pin the warm/measure/extrapolate protocol:
+	// fig5 through Belady, DRRIP, NRU and the tracker counters, fig8
+	// through DRRIP's fill counters, fig15 through the timing model.
+	for _, id := range []string{"fig5", "fig8", "fig15"} {
+		e, _ := ByID(id)
+		tbl, err := e.Run(sampledGoldenOptions())
+		if err != nil {
+			t.Fatalf("%s-sampled: %v", id, err)
+		}
+		got[id+"-sampled"] = tableToGolden(tbl)
 	}
-	got["fig15-sampled"] = tableToGolden(tbl)
 
 	path := filepath.Join("testdata", "golden.json")
 	if *updateGolden {
