@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"gspc/internal/belady"
 	"gspc/internal/cachesim"
 	"gspc/internal/stream"
 	"gspc/internal/trace"
@@ -38,7 +37,7 @@ func TestPackedReplayEquivalence(t *testing.T) {
 		for _, cs := range cases {
 			t.Run(cs.name, func(t *testing.T) {
 				run := func(replay func(c *cachesim.Cache) error) frameResult {
-					c := cachesim.NewSampled(geom, spec.make(), cs.sample)
+					c := cachesim.NewSampled(geom, spec.make(tr), cs.sample)
 					if spec.ucd {
 						c.SetBypass(stream.Display, true)
 					}
@@ -80,8 +79,5 @@ func TestPackedReplayEquivalence(t *testing.T) {
 	}
 	// Belady keys its lookahead on Seq, which the replay must set to the
 	// record's position in the whole trace, also inside a sub-range.
-	next := belady.NextUseTrace(tr, blockShift(geom.BlockSize))
-	t.Run("Belady", func(t *testing.T) {
-		check(t, policySpec{name: "Belady", make: func() cachesim.Policy { return belady.NewOPT(next) }})
-	})
+	t.Run("Belady", func(t *testing.T) { check(t, specBelady(geom)) })
 }

@@ -24,10 +24,10 @@ import (
 func Extensions() []Experiment {
 	return []Experiment{
 		{"ext-warm", "Extension: inter-frame reuse — second frame on a warm LLC", RunExtWarm},
-		{"ext-policies", "Extension: related-work policies (DIP, peLIFO, CounterDBP) vs DRRIP", RunExtPolicies},
-		{"ext-ucp", "Extension: explicit way partitioning (UCP) vs stream-aware GSPC", RunExtUCP},
-		{"abl-samples", "Ablation: GSPC sample set density", RunAblSamples},
-		{"abl-banks", "Ablation: GSPC counter bank count", RunAblBanks},
+		{"ext-policies", "Extension: related-work policies (DIP, peLIFO, CounterDBP) vs DRRIP", planned(extPolicies)},
+		{"ext-ucp", "Extension: explicit way partitioning (UCP) vs stream-aware GSPC", planned(extUCP)},
+		{"abl-samples", "Ablation: GSPC sample set density", planned(ablSamples)},
+		{"abl-banks", "Ablation: GSPC counter bank count", planned(ablBanks)},
 		{"abl-frontcache", "Ablation: render cache scaling rule (linear vs area)", RunAblFrontCache},
 		{"abl-morton", "Ablation: surface tile layout (row-major vs Morton)", RunAblMorton},
 	}
@@ -51,6 +51,9 @@ func ByIDExt(id string) (Experiment, bool) {
 // run: assets persist across frames, so warm caches capture inter-frame
 // static texture reuse the paper's single-frame methodology excludes.
 func RunExtWarm(o Options) (*Table, error) {
+	if _, err := o.jobs(); err != nil {
+		return nil, err
+	}
 	o = o.normalized()
 	geom := o.Geometry(paperLLCBytes)
 	t := &Table{
@@ -65,12 +68,10 @@ func RunExtWarm(o Options) (*Table, error) {
 			apps = append(apps, p.Abbrev)
 		}
 	}
-	ratios := map[string][]float64{}
-	var order []string
 	ctx := o.ctx()
 	for _, ab := range apps {
-		p, ok := workload.ProfileByAbbrev(ab)
-		if !ok || p.Frames < 2 {
+		p, _ := workload.ProfileByAbbrev(ab) // validated by o.jobs
+		if p.Frames < 2 {
 			continue
 		}
 		// Both frames come from the shared trace cache, so a warm sweep
@@ -84,9 +85,10 @@ func RunExtWarm(o Options) (*Table, error) {
 			return nil, err
 		}
 		vals := make([]float64, len(specs))
+		// These specs never read the trace (only Belady does).
 		for i, s := range specs {
 			// Cold: frame 1 alone.
-			cold := cachesim.New(geom, s.make())
+			cold := cachesim.New(geom, s.make(nil))
 			if s.ucd {
 				cold.SetBypass(stream.Display, true)
 			}
@@ -95,7 +97,7 @@ func RunExtWarm(o Options) (*Table, error) {
 			}
 			// Warm: frame 0 then frame 1 on the same cache; count only
 			// frame 1's misses.
-			warm := cachesim.New(geom, s.make())
+			warm := cachesim.New(geom, s.make(nil))
 			if s.ucd {
 				warm.SetBypass(stream.Display, true)
 			}
@@ -109,99 +111,73 @@ func RunExtWarm(o Options) (*Table, error) {
 			warmMisses := warm.Stats.Misses - before
 			vals[i] = float64(warmMisses) / float64(cold.Stats.Misses)
 		}
-		ratios[ab] = vals
-		order = append(order, ab)
 		t.AddRow(ab, vals...)
 		o.progressf("  %s warm/cold done\n", ab)
 	}
-	means := make([]float64, len(specs))
-	for _, ab := range order {
-		for i, v := range ratios[ab] {
-			means[i] += v
-		}
-	}
-	for i := range means {
-		means[i] /= float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
+	t.addMean()
 	t.Notes = append(t.Notes, "values below 1 quantify inter-frame reuse captured by a warm LLC")
 	return t, nil
 }
 
-// RunExtPolicies evaluates the additional related-work policies the
-// paper discusses but does not plot: DIP, a pseudo-LIFO variant, and a
+// extPolicies evaluates the additional related-work policies the paper
+// discusses but does not plot: DIP, a pseudo-LIFO variant, and a
 // counter-based dead block predictor, normalized to DRRIP.
-func RunExtPolicies(o Options) (*Table, error) {
+func extPolicies(o Options) plan {
 	geom := o.Geometry(paperLLCBytes)
-	specs := []policySpec{
-		{name: "DIP", make: func() cachesim.Policy { return policy.NewDIP() }},
-		{name: "peLIFO", make: func() cachesim.Policy { return policy.NewPeLIFO() }},
-		{name: "CounterDBP", make: func() cachesim.Policy { return policy.NewCounterDBP() }},
-		{name: "Hawkeye", make: func() cachesim.Policy { return policy.NewHawkeye() }},
-		specGSPC(core.VariantGSPC, 8, true),
-	}
-	return normalizedMissTable(o, geom,
-		fmt.Sprintf("Extension: related-work policies vs DRRIP (LLC %s)", geom), specs,
-		"DIP/peLIFO/CounterDBP are Section 1.1.1 baselines the paper cites but does not evaluate; Hawkeye (ISCA 2016) post-dates the paper")
+	return normalizedMisses(geom, fmt.Sprintf("Extension: related-work policies vs DRRIP (LLC %s)", geom),
+		"DIP/peLIFO/CounterDBP are Section 1.1.1 baselines the paper cites but does not evaluate; Hawkeye (ISCA 2016) post-dates the paper",
+		policySpec{name: "DIP", make: func(*stream.Trace) cachesim.Policy { return policy.NewDIP() }},
+		policySpec{name: "peLIFO", make: func(*stream.Trace) cachesim.Policy { return policy.NewPeLIFO() }},
+		policySpec{name: "CounterDBP", make: func(*stream.Trace) cachesim.Policy { return policy.NewCounterDBP() }},
+		policySpec{name: "Hawkeye", make: func(*stream.Trace) cachesim.Policy { return policy.NewHawkeye() }},
+		specGSPC(core.VariantGSPC, 8, true))
 }
 
-// RunExtUCP evaluates utility-based way partitioning over the stream
-// groups against GSPC. The paper argues (Section 1.1.2) that explicit
+// extUCP evaluates utility-based way partitioning over the stream groups
+// against GSPC. The paper argues (Section 1.1.2) that explicit
 // partitioning cannot serve 3D rendering because the streams share data;
 // UCP walls the render target and texture partitions off from each
 // other, cutting the RT-to-texture consumption path that GSPC amplifies.
-func RunExtUCP(o Options) (*Table, error) {
+func extUCP(o Options) plan {
 	geom := o.Geometry(paperLLCBytes)
-	specs := []policySpec{
-		{name: "UCP", make: func() cachesim.Policy { return policy.NewUCP() }},
-		{name: "UCP+UCD", ucd: true, make: func() cachesim.Policy { return policy.NewUCP() }},
-		specGSPC(core.VariantGSPC, 8, true),
-	}
-	return normalizedMissTable(o, geom,
-		fmt.Sprintf("Extension: way partitioning vs stream-aware caching (LLC %s)", geom), specs,
-		"the paper argues partitioning cannot exploit inter-stream sharing (Section 1.1.2); on this synthetic suite UCP fares better than that argument suggests — its utility monitor effectively grants the sharing streams a common partition")
+	return normalizedMisses(geom, fmt.Sprintf("Extension: way partitioning vs stream-aware caching (LLC %s)", geom),
+		"the paper argues partitioning cannot exploit inter-stream sharing (Section 1.1.2); on this synthetic suite UCP fares better than that argument suggests — its utility monitor effectively grants the sharing streams a common partition",
+		policySpec{name: "UCP", make: func(*stream.Trace) cachesim.Policy { return policy.NewUCP() }},
+		policySpec{name: "UCP+UCD", ucd: true, make: func(*stream.Trace) cachesim.Policy { return policy.NewUCP() }},
+		specGSPC(core.VariantGSPC, 8, true))
 }
 
-// RunAblSamples ablates the GSPC sample density: more samples learn
-// faster but run SRRIP on a larger cache fraction.
-func RunAblSamples(o Options) (*Table, error) {
-	geom := o.Geometry(paperLLCBytes)
-	mk := func(every int) policySpec {
-		return policySpec{
-			name: fmt.Sprintf("1/%d", every),
-			ucd:  true,
-			make: func() cachesim.Policy {
-				p := core.DefaultParams(core.VariantGSPC)
-				p.SampleEvery = every
-				return core.New(p)
-			},
-		}
-	}
-	specs := []policySpec{mk(16), mk(32), mk(64), mk(128)}
-	return normalizedMissTable(o, geom,
-		fmt.Sprintf("Ablation: GSPC sample set density vs DRRIP (LLC %s)", geom), specs,
-		"the paper dedicates 16 of every 1024 sets (1/64)")
+// gspcTuned is GSPC+UCD with one parameter changed by tune.
+func gspcTuned(name string, tune func(p *core.Params)) policySpec {
+	return policySpec{name: name, ucd: true, make: func(*stream.Trace) cachesim.Policy {
+		p := core.DefaultParams(core.VariantGSPC)
+		tune(&p)
+		return core.New(p)
+	}}
 }
 
-// RunAblBanks ablates the number of counter banks: fewer banks average
-// over more of the cache, more banks adapt to spatial phase differences.
-func RunAblBanks(o Options) (*Table, error) {
+// ablSamples ablates the GSPC sample density: more samples learn faster
+// but run SRRIP on a larger cache fraction.
+func ablSamples(o Options) plan {
 	geom := o.Geometry(paperLLCBytes)
-	mk := func(banks int) policySpec {
-		return policySpec{
-			name: fmt.Sprintf("%d-bank", banks),
-			ucd:  true,
-			make: func() cachesim.Policy {
-				p := core.DefaultParams(core.VariantGSPC)
-				p.Banks = banks
-				return core.New(p)
-			},
-		}
+	var specs []policySpec
+	for _, every := range []int{16, 32, 64, 128} {
+		specs = append(specs, gspcTuned(fmt.Sprintf("1/%d", every), func(p *core.Params) { p.SampleEvery = every }))
 	}
-	specs := []policySpec{mk(1), mk(2), mk(4), mk(8)}
-	return normalizedMissTable(o, geom,
-		fmt.Sprintf("Ablation: GSPC counter banks vs DRRIP (LLC %s)", geom), specs,
-		"the paper's 8 MB LLC has four banks, each with its own counter block")
+	return normalizedMisses(geom, fmt.Sprintf("Ablation: GSPC sample set density vs DRRIP (LLC %s)", geom),
+		"the paper dedicates 16 of every 1024 sets (1/64)", specs...)
+}
+
+// ablBanks ablates the number of counter banks: fewer banks average over
+// more of the cache, more banks adapt to spatial phase differences.
+func ablBanks(o Options) plan {
+	geom := o.Geometry(paperLLCBytes)
+	var specs []policySpec
+	for _, banks := range []int{1, 2, 4, 8} {
+		specs = append(specs, gspcTuned(fmt.Sprintf("%d-bank", banks), func(p *core.Params) { p.Banks = banks }))
+	}
+	return normalizedMisses(geom, fmt.Sprintf("Ablation: GSPC counter banks vs DRRIP (LLC %s)", geom),
+		"the paper's 8 MB LLC has four banks, each with its own counter block", specs...)
 }
 
 // RunAblFrontCache compares the render-cache scaling rules: linear (the
@@ -210,60 +186,80 @@ func RunAblBanks(o Options) (*Table, error) {
 // this quantifies the fidelity argument in DESIGN.md.
 func RunAblFrontCache(o Options) (*Table, error) {
 	o = o.normalized()
-	geom := o.Geometry(paperLLCBytes)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: render cache scaling rule (LLC %s)", geom),
-		Columns: []string{"linLLCacc", "areaLLCacc", "linGSPC", "areaGSPC"},
+	return traceVariants(o, "Ablation: render cache scaling rule (LLC %s)",
+		[]string{"linLLCacc", "areaLLCacc", "linGSPC", "areaGSPC"},
+		"linGSPC/areaGSPC: GSPC+UCD misses normalized to DRRIP on the respective trace",
+		func(lin, area *stream.Trace, j workload.FrameJob) {
+			trace.GeneratePackedInto(lin, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale))
+			trace.GeneratePackedInto(area, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale*o.Scale))
+		})
+}
+
+// RunAblMorton compares the default row-major-tiled surfaces against
+// Morton (Z-order) layouts for the GPU-internal surfaces: Morton packs
+// screen-space neighborhoods into compact block ranges, changing how the
+// render caches and DRAM rows see the same rendering.
+func RunAblMorton(o Options) (*Table, error) {
+	o = o.normalized()
+	return traceVariants(o, "Ablation: surface tile layout, row-major vs Morton (LLC %s)",
+		[]string{"rowmajAcc", "mortonAcc", "rowmajGSPC", "mortonGSPC"},
+		"GSPC columns: GSPC+UCD misses normalized to DRRIP on the same trace",
+		func(rowMajor, morton *stream.Trace, j workload.FrameJob) {
+			cfg := rendercache.DefaultConfig().Scaled(o.Scale)
+			trace.GenerateLayoutInto(rowMajor, j, o.Scale, cfg, memmap.LayoutRowMajor)
+			trace.GenerateLayoutInto(morton, j, o.Scale, cfg, memmap.LayoutMorton)
+		})
+}
+
+// traceVariants synthesizes two variants of every selected frame with
+// gen and tabulates, per application and averaged over its frames, each
+// variant's LLC access count and its GSPC+UCD-to-DRRIP miss ratio. The
+// variants are off-default synthesis configurations the trace-cache key
+// does not carry, so they are rendered directly into two packed buffers
+// reused across frames, keeping the serial sweep allocation-flat.
+func traceVariants(o Options, titleFmt string, columns []string, note string, gen func(a, b *stream.Trace, j workload.FrameJob)) (*Table, error) {
+	jobs, err := o.jobs()
+	if err != nil {
+		return nil, err
 	}
-	var sums [4]float64
-	order := appOrder(o.Jobs())
+	geom := o.Geometry(paperLLCBytes)
+	t := &Table{Title: fmt.Sprintf(titleFmt, geom), Columns: columns}
 	perApp := map[string]*[4]float64{}
 	counts := map[string]int{}
 	ctx := o.ctx()
-	// The two scaling rules are swept with two packed buffers reused
-	// across every frame: these off-default configurations stay out of
-	// the shared trace cache, and buffer reuse keeps the serial sweep
-	// allocation-flat.
-	lin, area := stream.NewTrace(0), stream.NewTrace(0)
-	for _, j := range o.Jobs() {
+	a, b := stream.NewTrace(0), stream.NewTrace(0)
+	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		trace.GeneratePackedInto(lin, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale))
-		trace.GeneratePackedInto(area, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale*o.Scale))
+		gen(a, b, j)
 		row := perApp[j.App.Abbrev]
 		if row == nil {
 			row = &[4]float64{}
 			perApp[j.App.Abbrev] = row
 		}
-		linR, err := missRatio(ctx, lin, geom)
+		aR, err := missRatio(ctx, a, geom)
 		if err != nil {
 			return nil, err
 		}
-		areaR, err := missRatio(ctx, area, geom)
+		bR, err := missRatio(ctx, b, geom)
 		if err != nil {
 			return nil, err
 		}
-		row[0] += float64(lin.Len())
-		row[1] += float64(area.Len())
-		row[2] += linR
-		row[3] += areaR
+		row[0] += float64(a.Len())
+		row[1] += float64(b.Len())
+		row[2] += aR
+		row[3] += bR
 		counts[j.App.Abbrev]++
 		o.progressf("  %s done\n", j.ID())
 	}
-	for _, ab := range order {
+	for _, ab := range appOrder(jobs) {
 		row := perApp[ab]
 		n := float64(counts[ab])
-		vals := []float64{row[0] / n, row[1] / n, row[2] / n, row[3] / n}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
+		t.AddRow(ab, row[0]/n, row[1]/n, row[2]/n, row[3]/n)
 	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)),
-		sums[2]/float64(len(order)), sums[3]/float64(len(order)))
-	t.Notes = append(t.Notes,
-		"linGSPC/areaGSPC: GSPC+UCD misses normalized to DRRIP on the respective trace")
+	t.addMean()
+	t.Notes = append(t.Notes, note)
 	return t, nil
 }
 
@@ -283,98 +279,4 @@ func missRatio(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry) (f
 		return 1, nil
 	}
 	return float64(rg.stats.Misses) / float64(rd.stats.Misses), nil
-}
-
-// normalizedMissTable runs specs over the suite and tabulates per-app
-// miss counts normalized to DRRIP.
-func normalizedMissTable(o Options, geom cachesim.Geometry, title string, specs []policySpec, note string) (*Table, error) {
-	missD, miss, err := missSweep(o, geom, specs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: title}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
-			vals[i] = float64(miss[ab][i]) / float64(missD[ab])
-			sums[i] += vals[i]
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	if note != "" {
-		t.Notes = append(t.Notes, note)
-	}
-	return t, nil
-}
-
-// RunAblMorton compares the default row-major-tiled surfaces against
-// Morton (Z-order) layouts for the GPU-internal surfaces: Morton packs
-// screen-space neighborhoods into compact block ranges, changing how the
-// render caches and DRAM rows see the same rendering.
-func RunAblMorton(o Options) (*Table, error) {
-	o = o.normalized()
-	geom := o.Geometry(paperLLCBytes)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: surface tile layout, row-major vs Morton (LLC %s)", geom),
-		Columns: []string{"rowmajAcc", "mortonAcc", "rowmajGSPC", "mortonGSPC"},
-	}
-	var sums [4]float64
-	order := appOrder(o.Jobs())
-	perApp := map[string]*[4]float64{}
-	counts := map[string]int{}
-	ctx := o.ctx()
-	// Layout is a synthesis parameter the trace-cache key does not carry,
-	// so both layouts are rendered directly into packed buffers reused
-	// across frames.
-	rowTr, morTr := stream.NewTrace(0), stream.NewTrace(0)
-	for _, j := range o.Jobs() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cfg := rendercache.DefaultConfig().Scaled(o.Scale)
-		trace.GenerateLayoutInto(rowTr, j, o.Scale, cfg, memmap.LayoutRowMajor)
-		trace.GenerateLayoutInto(morTr, j, o.Scale, cfg, memmap.LayoutMorton)
-		row := perApp[j.App.Abbrev]
-		if row == nil {
-			row = &[4]float64{}
-			perApp[j.App.Abbrev] = row
-		}
-		rowR, err := missRatio(ctx, rowTr, geom)
-		if err != nil {
-			return nil, err
-		}
-		morR, err := missRatio(ctx, morTr, geom)
-		if err != nil {
-			return nil, err
-		}
-		row[0] += float64(rowTr.Len())
-		row[1] += float64(morTr.Len())
-		row[2] += rowR
-		row[3] += morR
-		counts[j.App.Abbrev]++
-		o.progressf("  %s done\n", j.ID())
-	}
-	for _, ab := range order {
-		row := perApp[ab]
-		n := float64(counts[ab])
-		vals := []float64{row[0] / n, row[1] / n, row[2] / n, row[3] / n}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)),
-		sums[2]/float64(len(order)), sums[3]/float64(len(order)))
-	t.Notes = append(t.Notes, "GSPC columns: GSPC+UCD misses normalized to DRRIP on the same trace")
-	return t, nil
 }

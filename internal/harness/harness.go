@@ -38,11 +38,12 @@ type Options struct {
 	MaxFramesPerApp int
 	// Apps restricts the run to the named applications (empty = all 12).
 	Apps []string
-	// Workers caps the trace-synthesis worker pool (0 = default of
+	// Workers caps both the trace-synthesis worker pool and the number
+	// of policy runs fanned out per frame (0 = default of
 	// min(GOMAXPROCS, 4)). Each in-flight trace holds tens of MB, so
 	// deployments with memory headroom can raise it and constrained ones
-	// can set 1 for strictly sequential synthesis. Results are identical
-	// at any setting.
+	// can set 1 for strictly sequential synthesis and replay. Results are
+	// identical at any setting.
 	Workers int
 	// Progress, when non-nil, receives one line per completed frame.
 	Progress io.Writer
@@ -181,19 +182,19 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{"tab1", "Table 1: DirectX application suite", RunTable1},
-		{"fig1", "Figure 1: NRU and Belady LLC misses normalized to DRRIP (8 MB)", RunFig1},
-		{"fig4", "Figure 4: stream-wise distribution of LLC accesses", RunFig4},
-		{"fig5", "Figure 5: texture/RT/Z hit rates under Belady, DRRIP, NRU", RunFig5},
-		{"fig6", "Figure 6: inter- vs intra-stream texture reuse and RT consumption", RunFig6},
-		{"fig7", "Figure 7: texture epoch hit distribution and death ratios (Belady)", RunFig7},
-		{"fig8", "Figure 8: RT and texture fills with RRPV=3 under DRRIP", RunFig8},
-		{"fig9", "Figure 9: Z epoch death ratios (Belady)", RunFig9},
-		{"fig11", "Figure 11: GSPZTC sensitivity to threshold t (vs t=16)", RunFig11},
-		{"fig12", "Figure 12: LLC misses of all policies normalized to DRRIP (8 MB)", RunFig12},
-		{"fig13", "Figure 13: stream metrics averaged over the suite, per policy", RunFig13},
-		{"fig14", "Figure 14: iso-overhead comparison (4 replacement-state bits)", RunFig14},
-		{"fig15", "Figure 15: performance normalized to DRRIP on 8 MB LLC", RunFig15},
-		{"fig16", "Figure 16: performance normalized to DRRIP on 16 MB LLC", RunFig16},
+		{"fig1", "Figure 1: NRU and Belady LLC misses normalized to DRRIP (8 MB)", planned(fig1)},
+		{"fig4", "Figure 4: stream-wise distribution of LLC accesses", planned(fig4)},
+		{"fig5", "Figure 5: texture/RT/Z hit rates under Belady, DRRIP, NRU", planned(fig5)},
+		{"fig6", "Figure 6: inter- vs intra-stream texture reuse and RT consumption", planned(fig6)},
+		{"fig7", "Figure 7: texture epoch hit distribution and death ratios (Belady)", planned(fig7)},
+		{"fig8", "Figure 8: RT and texture fills with RRPV=3 under DRRIP", planned(fig8)},
+		{"fig9", "Figure 9: Z epoch death ratios (Belady)", planned(fig9)},
+		{"fig11", "Figure 11: GSPZTC sensitivity to threshold t (vs t=16)", planned(fig11)},
+		{"fig12", "Figure 12: LLC misses of all policies normalized to DRRIP (8 MB)", planned(fig12)},
+		{"fig13", "Figure 13: stream metrics averaged over the suite, per policy", planned(fig13)},
+		{"fig14", "Figure 14: iso-overhead comparison (4 replacement-state bits)", planned(fig14)},
+		{"fig15", "Figure 15: performance normalized to DRRIP on 8 MB LLC", planned(fig15)},
+		{"fig16", "Figure 16: performance normalized to DRRIP on 16 MB LLC", planned(fig16)},
 		{"fig17", "Figure 17: sensitivity — DDR3-1867 and less aggressive GPU", RunFig17},
 		{"tab6", "Table 6: evaluated policies", RunTable6},
 	}
@@ -212,19 +213,31 @@ func ByID(id string) (Experiment, bool) {
 // paperLLCBytes is the baseline 8 MB capacity of Section 4.
 const paperLLCBytes = 8 << 20
 
-// policySpec names a policy with its display-stream caching mode.
+// policySpec names a policy with its display-stream caching mode. The
+// constructor receives the trace the policy will run over; only Belady
+// reads it.
 type policySpec struct {
 	name string
 	ucd  bool
-	make func() cachesim.Policy
+	make func(tr *stream.Trace) cachesim.Policy
 }
 
 func specDRRIP() policySpec {
-	return policySpec{name: "DRRIP", make: func() cachesim.Policy { return policy.NewDRRIP(2) }}
+	return policySpec{name: "DRRIP", make: func(*stream.Trace) cachesim.Policy { return policy.NewDRRIP(2) }}
 }
 
 func specNRU() policySpec {
-	return policySpec{name: "NRU", make: func() cachesim.Policy { return policy.NewNRU() }}
+	return policySpec{name: "NRU", make: func(*stream.Trace) cachesim.Policy { return policy.NewNRU() }}
+}
+
+// specBelady is Belady's optimal policy. Its next-use chains are built
+// from the trace (inside the replay's stage clock and span) and keyed on
+// global Seq, so a windowed replay sees the same lookahead a full replay
+// would.
+func specBelady(geom cachesim.Geometry) policySpec {
+	return policySpec{name: "Belady", make: func(tr *stream.Trace) cachesim.Policy {
+		return belady.NewOPT(belady.NextUseTrace(tr, blockShift(geom.BlockSize)))
+	}}
 }
 
 func specGSPC(v core.Variant, t int, ucd bool) policySpec {
@@ -235,7 +248,7 @@ func specGSPC(v core.Variant, t int, ucd bool) policySpec {
 	if ucd {
 		name += "+UCD"
 	}
-	return policySpec{name: name, ucd: ucd, make: func() cachesim.Policy {
+	return policySpec{name: name, ucd: ucd, make: func(*stream.Trace) cachesim.Policy {
 		p := core.DefaultParams(v)
 		if t > 0 {
 			p.T = t
@@ -244,13 +257,15 @@ func specGSPC(v core.Variant, t int, ucd bool) policySpec {
 	}}
 }
 
-// frameResult carries everything the offline experiments extract from one
-// policy run on one frame.
+// frameResult carries everything the experiments extract from one
+// policy run on one frame: the offline replay's counters, or the timing
+// model's cycle count.
 type frameResult struct {
 	stats   cachesim.Stats
 	tracker *analysisTracker
 	insert  core.InsertionStats
 	drrip   drripFillStats
+	cycles  int64
 }
 
 type drripFillStats struct {
@@ -270,7 +285,7 @@ type drripFillStats struct {
 func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cachesim.Geometry, plan *samplePlan) (frameResult, error) {
 	defer trackStage(ctx, pickReplay)()
 	defer telemetry.StartFrom(ctx, spec.name, "replay").End()
-	pol := spec.make()
+	pol := spec.make(tr)
 	var c *cachesim.Cache
 	if plan == nil {
 		c = cachesim.New(geom, pol)
@@ -302,64 +317,6 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 	if d, ok := pol.(*policy.DRRIP); ok {
 		res.drrip = drripFillStats{fills: d.FillsByKind, distant: d.DistantFillsByKind}
 	}
-	if plan != nil {
-		plan.observe(c)
-		scaleFrameResult(&res, plan.scaleFor(c))
-	}
-	return res, nil
-}
-
-// runBDN replays tr under Belady, DRRIP, and NRU — the reference trio
-// the characterization figures share — fanning the three replays out
-// over the options' worker budget. Results are positional, so the
-// output is identical to the former sequential run.
-func runBDN(o Options, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan) ([3]frameResult, error) {
-	var out [3]frameResult
-	err := fanOut(o.ctx(), o.replayWorkers(), 3, func(ctx context.Context, i int) error {
-		var err error
-		switch i {
-		case 0:
-			out[0], err = runBelady(ctx, tr, geom, plan)
-		case 1:
-			out[1], err = runOffline(ctx, tr, specDRRIP(), geom, plan)
-		case 2:
-			out[2], err = runOffline(ctx, tr, specNRU(), geom, plan)
-		}
-		return err
-	})
-	return out, err
-}
-
-// runBelady replays tr under Belady's optimal policy. The plan protocol
-// matches runOffline; OPT's next-use chains are keyed on global Seq, so
-// a windowed replay sees the same lookahead a full replay would.
-func runBelady(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan) (frameResult, error) {
-	defer trackStage(ctx, pickReplay)()
-	defer telemetry.StartFrom(ctx, "Belady", "replay").End()
-	next := belady.NextUseTrace(tr, blockShift(geom.BlockSize))
-	pol := belady.NewOPT(next)
-	var c *cachesim.Cache
-	if plan == nil {
-		c = cachesim.New(geom, pol)
-	} else {
-		c = cachesim.NewSampled(geom, pol, plan.sample)
-	}
-	tk := attachTracker(c)
-	if plan == nil {
-		if err := cachesim.ReplaySource(ctx, c, tr, 0); err != nil {
-			return frameResult{}, err
-		}
-	} else {
-		if err := cachesim.ReplaySourceRange(ctx, c, tr, plan.warmStart, plan.measStart, 0); err != nil {
-			return frameResult{}, err
-		}
-		resetRunCounters(c, tk, pol)
-		if err := cachesim.ReplaySourceRange(ctx, c, tr, plan.measStart, tr.Len(), 0); err != nil {
-			return frameResult{}, err
-		}
-	}
-	recordLLCStats(&c.Stats)
-	res := frameResult{stats: c.Stats, tracker: tk}
 	if plan != nil {
 		plan.observe(c)
 		scaleFrameResult(&res, plan.scaleFor(c))
@@ -449,18 +406,6 @@ func appOrder(jobs []workload.FrameJob) []string {
 		}
 	}
 	return order
-}
-
-// meanOf averages the per-app values in m over the order keys.
-func meanOf(m map[string]float64, order []string) float64 {
-	if len(order) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, k := range order {
-		sum += m[k]
-	}
-	return sum / float64(len(order))
 }
 
 func (o Options) progressf(format string, args ...interface{}) {

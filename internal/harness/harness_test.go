@@ -17,6 +17,20 @@ func tinyOptions() Options {
 	}
 }
 
+// runTiny runs the experiment with the given id at tinyOptions.
+func runTiny(t *testing.T, id string) *Table {
+	t.Helper()
+	e, ok := ByIDExt(id)
+	if !ok {
+		t.Fatalf("experiment %s missing", id)
+	}
+	tbl, err := e.Run(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func TestGeometryScaling(t *testing.T) {
 	o := DefaultOptions()
 	g := o.Geometry(8 << 20)
@@ -112,6 +126,22 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestUnknownAppIsAnError: a selection naming an unknown application
+// fails every experiment with an error naming it, never a table averaged
+// over no frames.
+func TestUnknownAppIsAnError(t *testing.T) {
+	o := tinyOptions()
+	o.Apps = []string{"Nope"}
+	for _, e := range allExperiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			tbl, err := e.Run(o)
+			if err == nil || !strings.Contains(err.Error(), `"Nope"`) {
+				t.Fatalf("err = %v (table %v), want an error naming \"Nope\"", err, tbl != nil)
+			}
+		})
+	}
+}
+
 func TestTable1(t *testing.T) {
 	tbl, err := RunTable1(Options{})
 	if err != nil {
@@ -143,10 +173,7 @@ func TestTable6(t *testing.T) {
 }
 
 func TestFig1Tiny(t *testing.T) {
-	tbl, err := RunFig1(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig1")
 	bel, ok := tbl.Cell("MEAN", "Belady")
 	if !ok {
 		t.Fatal("no Belady mean")
@@ -161,10 +188,7 @@ func TestFig1Tiny(t *testing.T) {
 }
 
 func TestFig4Tiny(t *testing.T) {
-	tbl, err := RunFig4(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig4")
 	row, ok := tbl.Lookup("AssnCreed")
 	if !ok {
 		t.Fatal("app row missing")
@@ -179,10 +203,7 @@ func TestFig4Tiny(t *testing.T) {
 }
 
 func TestFig11Tiny(t *testing.T) {
-	tbl, err := RunFig11(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig11")
 	// Values are percent changes vs t=16; they must be small.
 	for _, r := range tbl.Rows {
 		for _, v := range r.Values {
@@ -194,10 +215,7 @@ func TestFig11Tiny(t *testing.T) {
 }
 
 func TestFig12TinyHasAllPolicies(t *testing.T) {
-	tbl, err := RunFig12(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig12")
 	if len(tbl.Columns) != 8 {
 		t.Errorf("fig12 columns = %d, want 8", len(tbl.Columns))
 	}
@@ -209,10 +227,7 @@ func TestFig12TinyHasAllPolicies(t *testing.T) {
 }
 
 func TestFig15Tiny(t *testing.T) {
-	tbl, err := RunFig15(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig15")
 	v, ok := tbl.Cell("MEAN", "GSPC+UCD")
 	if !ok {
 		t.Fatal("GSPC column missing")
@@ -255,10 +270,7 @@ func TestExtWarmTiny(t *testing.T) {
 }
 
 func TestAblSamplesTiny(t *testing.T) {
-	tbl, err := RunAblSamples(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "abl-samples")
 	if len(tbl.Columns) != 4 {
 		t.Errorf("columns = %d", len(tbl.Columns))
 	}
@@ -271,10 +283,7 @@ func TestAblSamplesTiny(t *testing.T) {
 }
 
 func TestExtPoliciesTiny(t *testing.T) {
-	tbl, err := RunExtPolicies(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ext-policies")
 	for _, col := range []string{"DIP", "peLIFO", "CounterDBP", "GSPC+UCD"} {
 		if _, ok := tbl.Cell("MEAN", col); !ok {
 			t.Errorf("missing column %s", col)
@@ -283,10 +292,7 @@ func TestExtPoliciesTiny(t *testing.T) {
 }
 
 func TestFig5Tiny(t *testing.T) {
-	tbl, err := RunFig5(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig5")
 	// Belady's hit rate must dominate DRRIP's for every stream.
 	for _, pair := range [][2]string{{"tex/Bel", "tex/DRRIP"}, {"rt/Bel", "rt/DRRIP"}, {"z/Bel", "z/DRRIP"}} {
 		bel, _ := tbl.Cell("MEAN", pair[0])
@@ -298,10 +304,7 @@ func TestFig5Tiny(t *testing.T) {
 }
 
 func TestFig6Tiny(t *testing.T) {
-	tbl, err := RunFig6(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig6")
 	// Belady's inter+intra split is normalized to its own hits: sums to 100.
 	inter, _ := tbl.Cell("MEAN", "inter/Bel")
 	intra, _ := tbl.Cell("MEAN", "intra/Bel")
@@ -316,10 +319,7 @@ func TestFig6Tiny(t *testing.T) {
 }
 
 func TestFig7Tiny(t *testing.T) {
-	tbl, err := RunFig7(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig7")
 	// Epoch hit shares sum to <= 100 and E0 dominates.
 	var sum float64
 	for _, col := range []string{"hit%E0", "hit%E1", "hit%E2", "hit%E3+"} {
@@ -343,10 +343,7 @@ func TestFig7Tiny(t *testing.T) {
 }
 
 func TestFig8Tiny(t *testing.T) {
-	tbl, err := RunFig8(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig8")
 	for _, col := range tbl.Columns {
 		v, _ := tbl.Cell("MEAN", col)
 		if v < 0 || v > 100 {
@@ -356,10 +353,7 @@ func TestFig8Tiny(t *testing.T) {
 }
 
 func TestFig9Tiny(t *testing.T) {
-	tbl, err := RunFig9(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig9")
 	for _, col := range tbl.Columns {
 		v, _ := tbl.Cell("MEAN", col)
 		if v < 0 || v > 1 {
@@ -369,10 +363,7 @@ func TestFig9Tiny(t *testing.T) {
 }
 
 func TestFig13Tiny(t *testing.T) {
-	tbl, err := RunFig13(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig13")
 	// Belady's consumption must top every online policy's.
 	bel, _ := tbl.Cell("Belady", "rt->tex cons")
 	for _, row := range []string{"DRRIP", "GSPZTC", "GSPC"} {
@@ -387,10 +378,7 @@ func TestFig13Tiny(t *testing.T) {
 }
 
 func TestFig14Tiny(t *testing.T) {
-	tbl, err := RunFig14(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig14")
 	if len(tbl.Columns) != 4 {
 		t.Errorf("fig14 columns = %d, want 4", len(tbl.Columns))
 	}
@@ -400,10 +388,7 @@ func TestFig16And17Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiments")
 	}
-	t16, err := RunFig16(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t16 := runTiny(t, "fig16")
 	if _, ok := t16.Cell("MEAN", "GSPC+UCD"); !ok {
 		t.Error("fig16 missing GSPC column")
 	}
@@ -420,10 +405,7 @@ func TestFig16And17Tiny(t *testing.T) {
 }
 
 func TestAblBanksTiny(t *testing.T) {
-	tbl, err := RunAblBanks(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "abl-banks")
 	for _, col := range []string{"1-bank", "2-bank", "4-bank", "8-bank"} {
 		if _, ok := tbl.Cell("MEAN", col); !ok {
 			t.Errorf("missing %s", col)
@@ -432,10 +414,7 @@ func TestAblBanksTiny(t *testing.T) {
 }
 
 func TestExtUCPTiny(t *testing.T) {
-	tbl, err := RunExtUCP(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ext-ucp")
 	if _, ok := tbl.Cell("MEAN", "UCP"); !ok {
 		t.Error("UCP column missing")
 	}

@@ -14,141 +14,88 @@ import (
 	"gspc/internal/workload"
 )
 
-// perfSpecs are the policies of the performance figures. Per Section 5.2,
-// from Figure 15 onward every policy runs with uncached displayable color.
+// perfSpecs are the policies of the performance figures, the DRRIP
+// baseline first. Per Section 5.2, from Figure 15 onward every policy
+// runs with uncached displayable color.
 func perfSpecs() []policySpec {
 	return []policySpec{
-		{name: "NRU", ucd: true, make: func() cachesim.Policy { return policy.NewNRU() }},
-		{name: "GS-DRRIP", ucd: true, make: func() cachesim.Policy { return policy.NewGSDRRIP(2) }},
+		{name: "DRRIP", ucd: true, make: func(*stream.Trace) cachesim.Policy { return policy.NewDRRIP(2) }},
+		{name: "NRU", ucd: true, make: func(*stream.Trace) cachesim.Policy { return policy.NewNRU() }},
+		{name: "GS-DRRIP", ucd: true, make: func(*stream.Trace) cachesim.Policy { return policy.NewGSDRRIP(2) }},
 		specGSPC(core.VariantGSPC, 8, true),
 	}
 }
 
-// runPerf simulates the suite on the timing model and returns a table of
-// per-app fps normalized to DRRIP (+UCD), with absolute mean fps noted.
-func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
+// perf is the plan of the performance figures: every frame runs on the
+// timing model under each policy, and the table reports per-app fps
+// normalized to DRRIP (+UCD), with absolute mean fps noted.
+func perf(o Options, title, note string, cfg gpu.Config) plan {
+	cfg.UncachedDisplay = true
 	specs := perfSpecs()
-	base := policySpec{name: "DRRIP", ucd: true, make: func() cachesim.Policy { return policy.NewDRRIP(2) }}
-
-	cycD := map[string]int64{}
-	cyc := map[string][]int64{}
-	var framesD, framesTot int64
-	var cycSumD int64
-	cycSum := make([]int64, len(specs))
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		ab := j.App.Abbrev
-		cfgRun := cfg
-		cfgRun.UncachedDisplay = true
+	frames := float64(len(o.Jobs()))
+	p := plan{title: title, note: note, specs: specs}
+	for _, s := range specs[1:] {
+		p.columns = append(p.columns, s.name)
+	}
+	// The timing simulator runs one whole trace per call and does not
+	// poll the context internally, so the fan-out's per-job context check
+	// bounds cancellation latency to one simulation.
+	p.run = func(ctx context.Context, j workload.FrameJob, tr *stream.Trace, sp *samplePlan, spec policySpec) (frameResult, error) {
+		defer trackStage(ctx, pickTiming)()
+		defer telemetry.StartFrom(ctx, spec.name, "timing", telemetry.String("job", j.ID())).End()
 		// Sampled fidelity applies interval sampling only: the timing model
 		// simulates the warmup plus measured window of the trace (set
 		// sampling would distort queueing and DRAM row behavior) and the
-		// cycle counts are extrapolated by the estimated full-trace record
+		// cycle count is extrapolated by the estimated full-trace record
 		// ratio. The factor cancels in the normalized columns; it only
 		// shapes the absolute-fps note. No timing spec is Belady, so the
 		// window's positions restarting at 0 cannot matter.
-		src := tr
-		cycleScale := 1.0
-		if plan != nil {
-			w := tr.Sub(plan.warmStart, tr.Len())
-			if n := w.Len(); n > 0 && plan.fullEst > 0 {
-				src = w
-				cycleScale = plan.fullEst / float64(n)
+		src, cycleScale := tr, 1.0
+		if sp != nil {
+			w := tr.Sub(sp.warmStart, tr.Len())
+			if n := w.Len(); n > 0 && sp.fullEst > 0 {
+				src, cycleScale = w, sp.fullEst/float64(n)
 			}
 		}
-		// The timing simulator runs one whole trace per call and does not
-		// poll the context internally, so the fan-out's per-job context
-		// check bounds cancellation latency to one simulation — the same
-		// bound the former sequential loop had. Results are positional:
-		// index 0 is the DRRIP baseline, 1..len(specs) the evaluated
-		// policies, all reading the one shared packed trace.
-		cycles := make([]int64, len(specs)+1)
-		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
-			spec := base
-			if i > 0 {
-				spec = specs[i-1]
-			}
-			defer trackStage(ctx, pickTiming)()
-			defer telemetry.StartFrom(ctx, spec.name, "timing", telemetry.String("job", j.ID())).End()
-			cycles[i] = gpu.SimulateSource(src, cfgRun, spec.make()).Cycles
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if cycleScale != 1 {
-			for i := range cycles {
-				cycles[i] = scale64(cycles[i], cycleScale)
-			}
-		}
-		cycD[ab] += cycles[0]
-		cycSumD += cycles[0]
-		framesD++
-		a := cyc[ab]
-		if a == nil {
-			a = make([]int64, len(specs))
-		}
-		for i := range specs {
-			a[i] += cycles[i+1]
-			cycSum[i] += cycles[i+1]
-		}
-		cyc[ab] = a
-		framesTot++
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return frameResult{cycles: scale64(gpu.SimulateSource(src, cfg, spec.make(src)).Cycles, cycleScale)}, nil
 	}
-
-	t := &Table{Title: title}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
+	p.frame = func(rs []frameResult, _ *stream.Trace, _ *samplePlan) []int64 {
+		cyc := make([]int64, len(rs))
+		for i, r := range rs {
+			cyc[i] = r.cycles
+		}
+		return cyc
 	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
+	p.row = func(cyc []int64) []float64 {
+		vals := make([]float64, len(specs)-1)
+		for i := range vals {
 			// Performance ratio = cycle ratio inverted.
-			vals[i] = float64(cycD[ab]) / float64(cyc[ab][i])
-			sums[i] += vals[i]
+			vals[i] = float64(cyc[0]) / float64(cyc[i+1])
 		}
-		t.AddRow(ab, vals...)
+		return vals
 	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	if framesD > 0 {
-		fpsD := cfg.ClockGHz * 1e9 * float64(framesD) / float64(cycSumD)
-		fpsG := cfg.ClockGHz * 1e9 * float64(framesTot) / float64(cycSum[len(specs)-1])
+	p.suite = func(t *Table, cyc []int64) {
+		fpsD := cfg.ClockGHz * 1e9 * frames / float64(cyc[0])
+		fpsG := cfg.ClockGHz * 1e9 * frames / float64(cyc[len(specs)-1])
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"model frame rates at this scale: DRRIP %.1f fps, GSPC %.1f fps (absolute values are model-specific)", fpsD, fpsG))
 	}
-	return t, nil
+	return p
 }
 
-// RunFig15 reproduces Figure 15: performance normalized to DRRIP on the
+// fig15 reproduces Figure 15: performance normalized to DRRIP on the
 // baseline GPU with an 8 MB 16-way LLC.
-func RunFig15(o Options) (*Table, error) {
+func fig15(o Options) plan {
 	geom := o.Geometry(paperLLCBytes)
-	cfg := gpu.DefaultConfig(geom)
-	t, err := runPerf(o, fmt.Sprintf("Figure 15: performance vs DRRIP (LLC %s)", geom), cfg)
-	if err == nil {
-		t.Notes = append(t.Notes, "paper means: NRU 0.93, GS-DRRIP 1.008, GSPC 1.08")
-	}
-	return t, err
+	return perf(o, fmt.Sprintf("Figure 15: performance vs DRRIP (LLC %s)", geom),
+		"paper means: NRU 0.93, GS-DRRIP 1.008, GSPC 1.08", gpu.DefaultConfig(geom))
 }
 
-// RunFig16 reproduces Figure 16: the same on a 16 MB 16-way LLC.
-func RunFig16(o Options) (*Table, error) {
+// fig16 reproduces Figure 16: the same on a 16 MB 16-way LLC.
+func fig16(o Options) plan {
 	geom := o.Geometry(2 * paperLLCBytes)
-	cfg := gpu.DefaultConfig(geom)
-	t, err := runPerf(o, fmt.Sprintf("Figure 16: performance vs DRRIP (LLC %s)", geom), cfg)
-	if err == nil {
-		t.Notes = append(t.Notes, "paper means: NRU 0.97, GS-DRRIP 1.04, GSPC 1.118")
-	}
-	return t, err
+	return perf(o, fmt.Sprintf("Figure 16: performance vs DRRIP (LLC %s)", geom),
+		"paper means: NRU 0.97, GS-DRRIP 1.04, GSPC 1.118", gpu.DefaultConfig(geom))
 }
 
 // RunFig17 reproduces Figure 17: sensitivity to a faster DRAM system
@@ -159,7 +106,7 @@ func RunFig17(o Options) (*Table, error) {
 
 	fast := gpu.DefaultConfig(geom)
 	fast.DRAM.Timing = dram.DDR3_1867()
-	t1, err := runPerf(o, "", fast)
+	t1, err := perf(o, "", "", fast).execute(o)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +114,7 @@ func RunFig17(o Options) (*Table, error) {
 	small := gpu.DefaultConfig(geom)
 	small.Cores = 64
 	small.Samplers = 8
-	t2, err := runPerf(o, "", small)
+	t2, err := perf(o, "", "", small).execute(o)
 	if err != nil {
 		return nil, err
 	}

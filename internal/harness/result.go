@@ -164,7 +164,8 @@ func (e *SchemaMismatchError) Error() string {
 }
 
 // DecodeResult parses a serialized Result and verifies its schema
-// version, returning a *SchemaMismatchError on any other version. A
+// version, returning a *SchemaMismatchError on any other version. Any
+// Result it returns re-encodes to a payload it decodes identically. A
 // payload with no schema_version field decodes as version 0 and is
 // likewise rejected: pre-versioning payloads predate the durable store
 // and cannot be trusted across builds.
@@ -175,6 +176,20 @@ func DecodeResult(data []byte) (*Result, error) {
 	}
 	if r.SchemaVersion != ResultSchemaVersion {
 		return nil, &SchemaMismatchError{Got: r.SchemaVersion, Want: ResultSchemaVersion}
+	}
+	// Empty optional collections encode as absent, so decode them as
+	// nil: a decoded Result then re-encodes and decodes to itself.
+	if len(r.Apps) == 0 {
+		r.Apps = nil
+	}
+	if len(r.PerApp) == 0 {
+		r.PerApp = nil
+	}
+	if len(r.Mean) == 0 {
+		r.Mean = nil
+	}
+	if r.Table != nil && len(r.Table.Notes) == 0 {
+		r.Table.Notes = nil
 	}
 	return &r, nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -54,4 +55,29 @@ func TestDecodeResultRejectsMismatch(t *testing.T) {
 	if _, err := DecodeResult([]byte("{broken")); err == nil {
 		t.Fatal("malformed JSON decoded")
 	}
+}
+
+// FuzzDecodeResult exercises the decoder the durable store and the
+// network feed: it must never panic, and any payload it accepts must
+// re-encode and decode to a deep-equal Result. The seed corpus under
+// testdata/fuzz holds a real encoded sampled fig12 Result and a
+// schema-mismatch payload.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("re-encode failed: %v", err)
+		}
+		back, err := DecodeResult(body)
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if !reflect.DeepEqual(r, back) {
+			t.Fatalf("round trip changed the result:\n%+v\n%+v", r, back)
+		}
+	})
 }

@@ -36,6 +36,21 @@ func (t *Table) AddRow(label string, values ...float64) {
 	t.Rows = append(t.Rows, Row{Label: label, Values: values})
 }
 
+// addMean appends the MEAN row: each column summed over the rows so far,
+// in row order, then divided by the row count.
+func (t *Table) addMean() {
+	means := make([]float64, len(t.Columns))
+	for _, r := range t.Rows {
+		for i := range means {
+			means[i] += r.Values[i]
+		}
+	}
+	for i := range means {
+		means[i] /= float64(len(t.Rows))
+	}
+	t.AddRow("MEAN", means...)
+}
+
 // Lookup returns the row with the given label.
 func (t *Table) Lookup(label string) (Row, bool) {
 	for _, r := range t.Rows {
