@@ -83,8 +83,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int64Var(&o.traceCacheMB, "trace-cache-mb", harness.DefaultTraceCacheBytes>>20, "byte budget of the shared frame-trace cache in MiB (0 disables retention; synthesis is still deduplicated)")
 	fs.Int64Var(&o.memLimitMB, "mem-limit-mb", 0, "process memory budget in MiB: arms the degradation ladder (shrink caches → force sampled → stale-only → shed) and the Go soft memory limit (0 disables)")
 	fs.Int64Var(&o.maxRequestMB, "mem-max-request-mb", 0, "per-request ceiling on estimated in-flight trace memory in MiB (0 = unlimited)")
-	fs.DurationVar(&o.sloP50, "slo-p50", 0, "default per-experiment p50 latency target, reported in /metrics (0 disables)")
-	fs.DurationVar(&o.sloP99, "slo-p99", 0, "default per-experiment p99 latency target; completions above it burn the error budget (0 disables)")
+	fs.DurationVar(&o.sloP50, "slo-p50", 0, "p50 latency target every experiment is reported against in /metrics (0 disables)")
+	fs.DurationVar(&o.sloP99, "slo-p99", 0, "p99 latency target every experiment is held to; completions above it burn the error budget (0 disables)")
 	fs.Float64Var(&o.sloObjective, "slo-objective", 0.99, "SLO objective: the fraction of jobs that must meet the p99 target (with -slo-p99)")
 
 	fs.StringVar(&o.dataDir, "data-dir", "", "directory for the write-ahead journal and snapshots; empty runs in-memory only")

@@ -125,11 +125,9 @@ func main() {
 		cfg.Governor = gov
 		logger.Info("memory governor armed", "limit_mb", opt.memLimitMB)
 	}
-	if opt.sloP50 > 0 || opt.sloP99 > 0 {
-		cfg.SLO = telemetry.NewSLOTracker(telemetry.SLOTarget{
-			P50: opt.sloP50, P99: opt.sloP99,
-		}, opt.sloObjective, 0)
-	}
+	cfg.Latency = telemetry.NewLatency(telemetry.SLOTarget{
+		P50: opt.sloP50, P99: opt.sloP99,
+	}, opt.sloObjective)
 	if opt.simWorkers > 0 {
 		sw := opt.simWorkers
 		cfg.Run = func(ctx context.Context, r service.Request) (*harness.Result, error) {

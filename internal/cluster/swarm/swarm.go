@@ -250,9 +250,9 @@ type swarm struct {
 	proxies []*faultinject.Proxy
 	weather []string
 
-	// Soak mode: one latency SLO tracker shared by every node, so the
-	// exit summary's burn rate covers the whole cluster.
-	slo *telemetry.SLOTracker
+	// Soak mode: one latency recorder with an SLO target shared by every
+	// node, so the exit summary's burn rate covers the whole cluster.
+	slo *telemetry.Latency
 	// Memory weather: monotonically increasing oversized-request nonce.
 	oversized int
 
@@ -283,9 +283,9 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Soak {
 		// Generous relative to the stub SimDelay: a breach means queueing
 		// or degradation pathology, not normal service.
-		s.slo = telemetry.NewSLOTracker(telemetry.SLOTarget{
+		s.slo = telemetry.NewLatency(telemetry.SLOTarget{
 			P50: 250 * time.Millisecond, P99: time.Second,
-		}, 0.99, 0)
+		}, 0.99)
 	}
 	if err := s.boot(root); err != nil {
 		return nil, err
@@ -372,7 +372,7 @@ func (s *swarm) startNode(n *node) error {
 	e, err := service.NewEngine(service.Config{
 		Workers: 2, QueueDepth: 64, CacheEntries: 64, KeepFinished: 2048,
 		Run: s.runner, DataDir: n.dataDir, Logger: s.cfg.Logger, TraceEvery: 1,
-		Governor: n.gov, SLO: s.slo,
+		Governor: n.gov, Latency: s.slo,
 	})
 	if err != nil {
 		return fmt.Errorf("node %s: %w", n.name, err)

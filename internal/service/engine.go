@@ -141,10 +141,12 @@ type Config struct {
 	// byte-space sibling of the frame-equivalent MaxWork ceiling.
 	// 0 = unlimited.
 	MaxRequestBytes int64
-	// SLO, when set, receives every completed job's latency keyed by
-	// experiment, for p50/p99-target tracking and error-budget burn
-	// accounting surfaced in /metricsz and /metrics. Nil disables it.
-	SLO *telemetry.SLOTracker
+	// Latency receives every completed job's latency keyed by
+	// experiment: it backs the /metricsz p50/p95, the
+	// gspc_job_duration_seconds histogram and, when it has a target,
+	// the SLO section and gspc_slo_* series. Engines sharing a recorder
+	// report the shared window. Nil builds a recorder with no target.
+	Latency *telemetry.Latency
 
 	// DataDir, when non-empty, makes the engine crash-safe: job
 	// lifecycle transitions are appended to a write-ahead journal under
@@ -169,13 +171,6 @@ type Config struct {
 // maxRetryBackoff caps the exponential retry backoff so large MaxRetries
 // values cannot overflow the doubling into a zero or negative wait.
 const maxRetryBackoff = 30 * time.Second
-
-// jobLatencyBuckets are the /metrics histogram bounds for completed-job
-// duration, in seconds: experiments span milliseconds (cache-warm tiny
-// scales) to minutes (full suite), so the buckets run 25ms–300s.
-var jobLatencyBuckets = []float64{
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
-}
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -224,6 +219,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceEvery == 0 {
 		c.TraceEvery = 1
+	}
+	if c.Latency == nil {
+		c.Latency = telemetry.NewLatency(telemetry.SLOTarget{}, 0)
 	}
 	return c
 }
@@ -326,13 +324,11 @@ type Engine struct {
 	wg    sync.WaitGroup
 	start time.Time
 
-	// Observability: the flight recorder ring (/debugz), the per-engine
-	// stage-clock scope threaded into every run context, and the job
-	// latency histogram backing /metrics. traceSeq (guarded by mu)
-	// drives TraceEvery sampling.
+	// Observability: the flight recorder ring (/debugz) and the
+	// per-engine stage-clock scope threaded into every run context.
+	// traceSeq (guarded by mu) drives TraceEvery sampling.
 	flight   *telemetry.Flight
 	stages   *harness.StageSet
-	latHist  *telemetry.Histogram
 	traceSeq int64
 
 	// store persists job lifecycle + results when Config.DataDir is
@@ -358,7 +354,6 @@ type Engine struct {
 	// under pressure.
 	memShed, memDowngrades        int64
 	memStaleServed, memEscSkipped int64
-	lat                           latencies
 }
 
 // NewEngine builds and starts an engine; callers must Shutdown it.
@@ -380,7 +375,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		start:    time.Now(),
 		flight:   telemetry.NewFlight(cfg.FlightEvents),
 		stages:   harness.NewStageSet(),
-		latHist:  telemetry.NewHistogram(jobLatencyBuckets...),
 	}
 	if cfg.DataDir != "" {
 		// Recovery must finish before any worker can observe (or race
@@ -864,11 +858,7 @@ func (e *Engine) worker() {
 				e.lastSampledErr = res.Sampling.EstRelErr
 			}
 			d := job.finished.Sub(job.started)
-			e.lat.record(d)
-			e.latHist.Observe(d.Seconds())
-			if e.cfg.SLO != nil {
-				e.cfg.SLO.Observe(job.Req.Experiment, d)
-			}
+			e.cfg.Latency.Observe(job.Req.Experiment, d)
 			e.flight.Add(telemetry.Event{Type: "done", RunID: job.ID, TraceID: traceID(job.run),
 				Detail: fmt.Sprintf("%s in %s", job.Req.Experiment, d.Round(time.Millisecond))})
 		}

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"math"
-	"sort"
 	"time"
 
 	"gspc/internal/durable"
@@ -11,57 +9,6 @@ import (
 	"gspc/internal/telemetry"
 	"gspc/internal/tracecache"
 )
-
-// latencySamples bounds the completed-job duration window percentiles
-// are computed over.
-const latencySamples = 512
-
-// latencies is a fixed ring of recent job durations in milliseconds.
-type latencies struct {
-	ring  [latencySamples]float64
-	n     int // total recorded
-	count int // valid entries in ring
-}
-
-func (l *latencies) record(d time.Duration) {
-	l.ring[l.n%latencySamples] = float64(d) / float64(time.Millisecond)
-	l.n++
-	if l.count < latencySamples {
-		l.count++
-	}
-}
-
-// percentiles returns (p50, p95) over the window, zeros when empty.
-// Quantiles interpolate linearly between the two nearest order
-// statistics: rank r = q·(n-1) rarely lands on an integer, and
-// truncating it (the old int(q·(n-1)) indexing) systematically biased
-// the high quantiles low — with 512 samples, p95 read the 486th order
-// statistic instead of the 486.45-blend, understating tail latency on
-// every scrape.
-func (l *latencies) percentiles() (p50, p95 float64) {
-	if l.count == 0 {
-		return 0, 0
-	}
-	s := make([]float64, l.count)
-	copy(s, l.ring[:l.count])
-	sort.Float64s(s)
-	return quantile(s, 0.50), quantile(s, 0.95)
-}
-
-// quantile returns the q-th linear-interpolation quantile of sorted s.
-func quantile(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	r := q * float64(len(s)-1)
-	lo := int(math.Floor(r))
-	hi := int(math.Ceil(r))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := r - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // Metrics is the counter snapshot served at /metricsz.
 type Metrics struct {
@@ -130,8 +77,9 @@ type Metrics struct {
 	Memory *MemoryMetrics `json:"memory,omitempty"`
 
 	// SLO reports per-experiment latency-target tracking (measured
-	// p50/p99 against targets, breaches, error-budget burn); absent
-	// without an SLO tracker or before the first completed job.
+	// p50/p99 against the target, breaches, error-budget burn); absent
+	// when the latency recorder has no target or before the first
+	// completed job.
 	SLO []telemetry.SLOReport `json:"slo,omitempty"`
 }
 
@@ -195,16 +143,18 @@ type DurableMetrics struct {
 // insert with pre-completion engine counters (the cache has its own
 // lock and never takes e.mu, so the nested acquisition cannot cycle).
 func (e *Engine) Metrics() Metrics {
-	// Governor and SLO snapshots are taken before e.mu: both have their
-	// own locks, and the governor's byte-source gauges must never be read
-	// while this engine's mutex is held above them in another goroutine.
+	// Governor and latency snapshots are taken before e.mu: both have
+	// their own locks, the governor's byte-source gauges must never be
+	// read while this engine's mutex is held above them in another
+	// goroutine, and quantile sorting stays off the engine lock.
 	var memory *MemoryMetrics
 	if g := e.cfg.Governor; g != nil {
 		memory = &MemoryMetrics{Snapshot: g.Snapshot()}
 	}
+	lat := e.cfg.Latency.Quantiles(0.50, 0.95)
 	var slo []telemetry.SLOReport
-	if e.cfg.SLO != nil {
-		slo = e.cfg.SLO.Report()
+	if e.cfg.Latency.HasTarget() {
+		slo = e.cfg.Latency.Report()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -215,7 +165,6 @@ func (e *Engine) Metrics() Metrics {
 		memory.EscalationsSkipped = e.memEscSkipped
 	}
 	hits, misses, evictions := e.cache.counters()
-	p50, p95 := e.lat.percentiles()
 	var sampling *SamplingMetrics
 	if sim := telemetry.Sim(); e.sampledJobs > 0 || e.escalations > 0 || sim.SampledReplays > 0 {
 		sampling = &SamplingMetrics{
@@ -281,8 +230,8 @@ func (e *Engine) Metrics() Metrics {
 		QueueDepth:     len(e.queue),
 		QueueCapacity:  e.cfg.QueueDepth,
 		Workers:        e.cfg.Workers,
-		LatencyP50Ms:   p50,
-		LatencyP95Ms:   p95,
+		LatencyP50Ms:   lat[0],
+		LatencyP95Ms:   lat[1],
 
 		TraceCache:    harness.SharedTraceCache().Stats(),
 		Stages:        e.stages.Timings(),

@@ -12,7 +12,7 @@ import (
 // can never mint unbounded series however the server is driven.
 func (e *Engine) PromExposition() []byte {
 	m := e.Metrics()
-	hist := e.latHist.Snapshot()
+	hist := e.cfg.Latency.Histogram()
 	sim := telemetry.Sim()
 
 	var x telemetry.Exposition

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -45,11 +46,8 @@ const (
 // cursor where it left off.
 type EventLog struct {
 	mu       sync.Mutex
-	ring     []ClusterEvent
-	next     int // ring insertion index
-	filled   int
+	ring     ring[ClusterEvent]
 	seq      int64
-	total    int64
 	path     string
 	f        *os.File
 	fileSize int64
@@ -72,7 +70,7 @@ func NewEventLog(n int, path string) (*EventLog, error) {
 	if n <= 0 {
 		n = DefaultEventLogSize
 	}
-	l := &EventLog{ring: make([]ClusterEvent, n), path: path}
+	l := &EventLog{ring: newRing[ClusterEvent](n), path: path}
 	if path == "" {
 		return l, nil
 	}
@@ -109,25 +107,15 @@ func (l *EventLog) replay() error {
 			continue
 		}
 		var ev ClusterEvent
-		if json.Unmarshal(line, &ev) != nil {
-			continue
+		if json.Unmarshal(line, &ev) != nil || ev.Seq == math.MaxInt64 {
+			continue // torn append, or a cursor Add could never advance
 		}
-		l.push(ev)
+		l.ring.push(ev)
 		if ev.Seq >= l.seq {
 			l.seq = ev.Seq
 		}
-		l.total++
 	}
 	return sc.Err()
-}
-
-// push inserts into the ring (caller holds mu or has exclusive access).
-func (l *EventLog) push(ev ClusterEvent) {
-	l.ring[l.next] = ev
-	l.next = (l.next + 1) % len(l.ring)
-	if l.filled < len(l.ring) {
-		l.filled++
-	}
 }
 
 // Add records an event, assigning the next Seq, and returns it. Nil-safe
@@ -139,9 +127,8 @@ func (l *EventLog) Add(typ, node, detail string) ClusterEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	l.total++
 	ev := ClusterEvent{Seq: l.seq, Time: time.Now().UTC(), Type: typ, Node: node, Detail: detail}
-	l.push(ev)
+	l.ring.push(ev)
 	if l.f != nil {
 		b, _ := json.Marshal(ev)
 		b = append(b, '\n')
@@ -198,11 +185,9 @@ func (l *EventLog) compactLocked() {
 // eventsLocked returns ring events with Seq > since, oldest first,
 // capped at max (0 = no cap).
 func (l *EventLog) eventsLocked(since int64, max int) []ClusterEvent {
-	out := make([]ClusterEvent, 0, l.filled)
-	start := l.next - l.filled
-	for i := 0; i < l.filled; i++ {
-		ev := l.ring[(start+i+len(l.ring))%len(l.ring)]
-		if ev.Seq > since {
+	out := make([]ClusterEvent, 0, l.ring.len())
+	for i := 0; i < l.ring.len(); i++ {
+		if ev := l.ring.at(i); ev.Seq > since {
 			out = append(out, ev)
 		}
 	}
@@ -234,7 +219,7 @@ func (l *EventLog) Total() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.ring.total()
 }
 
 // Close releases the backing file, if any.

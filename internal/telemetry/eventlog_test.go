@@ -147,3 +147,35 @@ func TestEventLogNilSafe(t *testing.T) {
 		t.Error("nil event log reported state")
 	}
 }
+
+// FuzzEventLogReplay feeds arbitrary bytes to a durable event log as
+// its on-disk NDJSON file. Replay must never panic, must keep at most
+// the ring's capacity with no event past the resume cursor, and the
+// next Add must extend the cursor and be visible to a client resuming
+// from it — torn, reordered or hostile lines included.
+func FuzzEventLogReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "events.ndjson")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, _ := NewEventLog(4, path) // a replay error still leaves a usable log
+		defer l.Close()
+		evs, cursor := l.Since(0, 0)
+		if len(evs) > 4 {
+			t.Fatalf("replay retained %d events in a ring of 4", len(evs))
+		}
+		for _, ev := range evs {
+			if ev.Seq > cursor {
+				t.Fatalf("replayed seq %d above cursor %d", ev.Seq, cursor)
+			}
+		}
+		ev := l.Add(EventRingSwap, "", "")
+		if ev.Seq <= cursor {
+			t.Fatalf("Add after replay got seq %d, not above cursor %d", ev.Seq, cursor)
+		}
+		if after, _ := l.Since(cursor, 0); len(after) != 1 || after[0].Seq != ev.Seq {
+			t.Fatalf("Since(%d) = %v, want just the added seq %d", cursor, after, ev.Seq)
+		}
+	})
+}

@@ -127,20 +127,17 @@ func seriesName(line string) string {
 }
 
 // injectNodeLabel rewrites one sample line so node="<name>" is the
-// first label. The '{' (when present) necessarily precedes any label
-// value, so indexing the first one is safe.
+// first label, right after the metric name. Callers pass only lines
+// with a non-empty seriesName; the name ends at the first '{' or ' ', so
+// a '{' inside a later token is never mistaken for the label set.
 func injectNodeLabel(line, node string) string {
 	esc := escapeLabel(node)
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		rest := line[i+1:]
-		if strings.HasPrefix(rest, "}") { // empty label set: name{} value
-			return line[:i] + `{node="` + esc + `"` + rest
-		}
-		return line[:i] + `{node="` + esc + `",` + rest
+	i := strings.IndexAny(line, "{ ")
+	switch {
+	case line[i] == ' ':
+		return line[:i] + `{node="` + esc + `"}` + line[i:]
+	case strings.HasPrefix(line[i+1:], "}"): // empty label set: name{} value
+		return line[:i] + `{node="` + esc + `"` + line[i+1:]
 	}
-	i := strings.IndexByte(line, ' ')
-	if i < 0 {
-		return line
-	}
-	return line[:i] + `{node="` + esc + `"}` + line[i:]
+	return line[:i] + `{node="` + esc + `",` + line[i+1:]
 }

@@ -1,15 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
-// TestFederateGolden pins the merged exposition byte-for-byte: node
-// label injected first, families deduplicated with first HELP/TYPE
-// winning, families sorted, series in node order within a family.
-func TestFederateGolden(t *testing.T) {
-	n1 := strings.Join([]string{
+// Two member expositions shared by the golden test and the fuzz seeds.
+var (
+	federateN1 = strings.Join([]string{
 		"# HELP gspc_jobs_total Jobs accepted.",
 		"# TYPE gspc_jobs_total counter",
 		"gspc_jobs_total 10",
@@ -24,7 +23,7 @@ func TestFederateGolden(t *testing.T) {
 		"gspc_job_duration_seconds_count 4",
 		"",
 	}, "\n")
-	n2 := strings.Join([]string{
+	federateN2 = strings.Join([]string{
 		"# HELP gspc_jobs_total Jobs accepted.",
 		"# TYPE gspc_jobs_total counter",
 		"gspc_jobs_total 7",
@@ -33,10 +32,15 @@ func TestFederateGolden(t *testing.T) {
 		`gspc_cache_hits_total{kind="exact"} 5`,
 		"",
 	}, "\n")
+)
 
+// TestFederateGolden pins the merged exposition byte-for-byte: node
+// label injected first, families deduplicated with first HELP/TYPE
+// winning, families sorted, series in node order within a family.
+func TestFederateGolden(t *testing.T) {
 	got := string(Federate([]FederatedScrape{
-		{Node: "n1", Body: []byte(n1)},
-		{Node: "n2", Body: []byte(n2)},
+		{Node: "n1", Body: []byte(federateN1)},
+		{Node: "n2", Body: []byte(federateN2)},
 	}))
 	want := strings.Join([]string{
 		"# HELP gspc_cache_hits_total Cache hits by kind.",
@@ -105,4 +109,45 @@ func TestFederateKeepsTimestampedValue(t *testing.T) {
 	if !strings.Contains(got, `m{node="x"} 3 1712345678`) {
 		t.Errorf("timestamp dropped:\n%s", got)
 	}
+}
+
+// FuzzFederate feeds arbitrary member exposition text (it arrives off
+// the network) through the federation parser. It must never panic, be
+// byte-deterministic, put node="…" first on every emitted sample, and
+// emit exactly one sample per input sample line — one extra label, no
+// new or lost series.
+func FuzzFederate(f *testing.F) {
+	for _, body := range []string{federateN1, federateN2,
+		"m_no_header{} 4\nplain 9\n", "m 3 1712345678\n", "m x{y 1\n"} {
+		f.Add([]byte(body), "n1")
+	}
+	f.Add([]byte("m 1\n"), `no"de\1`)
+	f.Fuzz(func(t *testing.T, body []byte, node string) {
+		scrapes := []FederatedScrape{{Node: node, Body: body}}
+		out := Federate(scrapes)
+		if again := Federate(scrapes); !bytes.Equal(out, again) {
+			t.Fatalf("federation not deterministic:\n%q\nvs\n%q", out, again)
+		}
+		want := 0
+		for _, ln := range strings.Split(string(body), "\n") {
+			ln = strings.TrimSpace(ln)
+			if ln != "" && !strings.HasPrefix(ln, "#") && seriesName(ln) != "" {
+				want++
+			}
+		}
+		label := `{node="` + escapeLabel(node) + `"`
+		got := 0
+		for _, ln := range strings.Split(string(out), "\n") {
+			if ln == "" || strings.HasPrefix(ln, "#") {
+				continue
+			}
+			got++
+			if name := seriesName(ln); !strings.HasPrefix(ln[len(name):], label) {
+				t.Fatalf("sample %q does not carry %s as its first label", ln, label)
+			}
+		}
+		if got != want {
+			t.Fatalf("emitted %d samples for %d input samples:\n%s", got, want, out)
+		}
+	})
 }

@@ -19,9 +19,8 @@ type Event struct {
 // black-box recorder served at /debugz. Recording is one mutex'd slot
 // store; the ring never allocates after construction.
 type Flight struct {
-	mu    sync.Mutex
-	ring  []Event
-	total int64
+	mu   sync.Mutex
+	ring ring[Event]
 }
 
 // DefaultFlightEvents is the ring capacity when NewFlight is given a
@@ -34,7 +33,7 @@ func NewFlight(n int) *Flight {
 	if n <= 0 {
 		n = DefaultFlightEvents
 	}
-	return &Flight{ring: make([]Event, 0, n)}
+	return &Flight{ring: newRing[Event](n)}
 }
 
 // Add records an event, stamping its time when unset. Nil-safe so
@@ -47,12 +46,7 @@ func (f *Flight) Add(e Event) {
 		e.Time = time.Now()
 	}
 	f.mu.Lock()
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, e)
-	} else {
-		f.ring[f.total%int64(cap(f.ring))] = e
-	}
-	f.total++
+	f.ring.push(e)
 	f.mu.Unlock()
 }
 
@@ -63,17 +57,9 @@ func (f *Flight) Events() []Event {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := len(f.ring)
-	out := make([]Event, 0, n)
-	// The ring's logical order is oldest..newest starting at total%cap
-	// once it has wrapped; walk backwards from the newest.
-	start := int64(0)
-	if f.total > int64(cap(f.ring)) {
-		start = f.total % int64(cap(f.ring))
-	}
-	for i := 0; i < n; i++ {
-		idx := (start + int64(n-1-i)) % int64(n)
-		out = append(out, f.ring[idx])
+	out := make([]Event, 0, f.ring.len())
+	for i := f.ring.len() - 1; i >= 0; i-- {
+		out = append(out, f.ring.at(i))
 	}
 	return out
 }
@@ -86,5 +72,5 @@ func (f *Flight) Total() int64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.total
+	return f.ring.total()
 }
