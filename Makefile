@@ -2,15 +2,16 @@
 
 GO ?= go
 
-# PR stamps the bench capture file: `make bench PR=7` writes
-# BENCH_PR8.json (also settable via the PR environment variable).
-PR ?= 8
+# PR stamps the bench capture file: `make bench PR=15` writes
+# BENCH_PR15.json (also settable via the PR environment variable). It has
+# no default, so a bare `make bench` cannot overwrite a committed capture.
 
 # Benchmarks captured by `make bench` into BENCH_PR$(PR).json. Fig1 runs
 # first so the figure benches that follow measure the warm-trace-cache
 # path (the deployment steady state); the micro benches isolate the
-# synthesis, replay, and cache-lookup stages.
-BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkTraceCacheWarm$$
+# synthesis, replay, cache-lookup, and timing-model stages. Both capture
+# targets run with -benchmem, so B/op and allocs/op land in the JSON.
+BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkTraceCacheWarm$$|BenchmarkGPUSimulate$$
 
 # bench-capture pipes through a prebuilt benchjson ($(BENCHJSON)) when
 # one is given — CI builds the tool once from the PR head, then benches
@@ -31,7 +32,8 @@ race:
 	$(GO) test -race ./internal/tracecache/ ./internal/harness/ ./internal/service/
 
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 3x . \
+	@test -n "$(PR)" || { echo "usage: make bench PR=<n>  (writes BENCH_PR<n>.json)" >&2; exit 2; }
+	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 3x -benchmem . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -label "$(shell git rev-parse --short HEAD 2>/dev/null)" \
 		> BENCH_PR$(PR).json
@@ -40,7 +42,7 @@ bench:
 # for the CI perf gate, which benches the merge base and the head
 # back-to-back on the same runner and diffs the two captures.
 bench-capture:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 3x . \
+	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 3x -benchmem . \
 		| tee /dev/stderr \
 		| $(BENCHJSON) > $(or $(OUT),bench.json)
 

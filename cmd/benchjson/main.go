@@ -15,7 +15,9 @@
 // benchmark and the exit code is 1 if any benchmark present in both
 // regressed by more than -threshold (default 5%). Benchmarks missing
 // from either side are reported as warnings, not failures — CI's perf
-// gate must fail on slowdowns, not on renames.
+// gate must fail on slowdowns, not on renames. The allocs/op of each
+// side (captured with -benchmem) and their change are printed beside
+// ns/op for information; they never affect the exit code.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -56,7 +59,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: baseline.json candidate.json")
 			os.Exit(2)
 		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold))
+		os.Exit(runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold))
 	}
 
 	out := doc{PR: *pr, Label: *label, Benchmarks: map[string]entry{}}
@@ -131,13 +134,13 @@ func loadDoc(path string) (doc, error) {
 	return d, nil
 }
 
-// runCompare diffs candidate against baseline on ns_per_op and returns
-// the process exit code: 0 when every shared benchmark is within the
+// runCompare diffs candidate against baseline on ns_per_op, writes the
+// table to w, and returns the process exit code: 0 when every shared benchmark is within the
 // regression threshold, 1 when any hot path got slower than allowed,
 // 2 when a file is unreadable. Benchmarks that appear on only one side
 // warn but never fail — a perf gate that fails on a renamed or newly
 // added benchmark teaches people to delete the gate.
-func runCompare(basePath, candPath string, threshold float64) int {
+func runCompare(w io.Writer, basePath, candPath string, threshold float64) int {
 	base, err := loadDoc(basePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -155,18 +158,19 @@ func runCompare(basePath, candPath string, threshold float64) int {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-36s %16s %16s %9s\n", "benchmark", "base ns/op", "cand ns/op", "delta")
+	fmt.Fprintf(w, "%-36s %16s %16s %9s %12s %12s %9s\n",
+		"benchmark", "base ns/op", "cand ns/op", "delta", "base allocs", "cand allocs", "delta")
 	regressions := 0
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		c, ok := cand.Benchmarks[name]
 		if !ok {
-			fmt.Printf("%-36s %16.0f %16s %9s  (missing from candidate)\n",
+			fmt.Fprintf(w, "%-36s %16.0f %16s %9s  (missing from candidate)\n",
 				name, b.NsPerOp, "-", "-")
 			continue
 		}
 		if b.NsPerOp <= 0 {
-			fmt.Printf("%-36s %16s %16.0f %9s  (no baseline ns/op)\n",
+			fmt.Fprintf(w, "%-36s %16s %16.0f %9s  (no baseline ns/op)\n",
 				name, "-", c.NsPerOp, "-")
 			continue
 		}
@@ -176,8 +180,8 @@ func runCompare(basePath, candPath string, threshold float64) int {
 			verdict = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-36s %16.0f %16.0f %+8.1f%%%s\n",
-			name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
+		fmt.Fprintf(w, "%-36s %16.0f %16.0f %+8.1f%% %s%s\n",
+			name, b.NsPerOp, c.NsPerOp, delta*100, allocsCols(b, c), verdict)
 	}
 	var added []string
 	for name := range cand.Benchmarks {
@@ -187,7 +191,7 @@ func runCompare(basePath, candPath string, threshold float64) int {
 	}
 	sort.Strings(added)
 	for _, name := range added {
-		fmt.Printf("%-36s %16s %16.0f %9s  (new, no baseline)\n",
+		fmt.Fprintf(w, "%-36s %16s %16.0f %9s  (new, no baseline)\n",
 			name, "-", cand.Benchmarks[name].NsPerOp, "-")
 	}
 	if regressions > 0 {
@@ -195,6 +199,30 @@ func runCompare(basePath, candPath string, threshold float64) int {
 			regressions, threshold*100, basePath)
 		return 1
 	}
-	fmt.Printf("ok: no benchmark regressed more than %.1f%%\n", threshold*100)
+	fmt.Fprintf(w, "ok: no benchmark regressed more than %.1f%%\n", threshold*100)
 	return 0
+}
+
+// allocsCols renders the allocs/op columns of one compare row: both
+// sides' counts and the relative change (the absolute change when the
+// baseline allocated nothing), or "-" for a side captured without
+// -benchmem.
+func allocsCols(b, c entry) string {
+	ba, bok := b.Metrics["allocs/op"]
+	ca, cok := c.Metrics["allocs/op"]
+	col := func(v float64, ok bool) string {
+		if !ok {
+			return "-"
+		}
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	delta := "-"
+	switch {
+	case !bok || !cok:
+	case ba > 0:
+		delta = fmt.Sprintf("%+.1f%%", (ca-ba)/ba*100)
+	default:
+		delta = fmt.Sprintf("%+.0f", ca-ba)
+	}
+	return fmt.Sprintf("%12s %12s %9s", col(ba, bok), col(ca, cok), delta)
 }

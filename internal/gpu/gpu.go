@@ -20,8 +20,8 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 
 	"gspc/internal/cachesim"
 	"gspc/internal/dram"
@@ -115,29 +115,153 @@ type Result struct {
 	Accesses int64
 }
 
+// event wakes one thread at cycle t. seq is unique per event, so the
+// (t, seq) order is total and the simulation deterministic.
 type event struct {
 	t      int64
 	thread int32
-	seq    int64 // tie-break for determinism
+	seq    int64
 }
 
-type eventHeap []event
+func (e event) before(o event) bool {
+	return e.t < o.t || (e.t == o.t && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventQueue is a binary min-heap of events on (t, seq). The timing loop
+// only ever looks at the earliest event and then either retires it (pop)
+// or reschedules its thread later (replaceTop, one sift down instead of a
+// pop and a push). Events are stored by value, so nothing is allocated
+// after the queue is built.
+type eventQueue []event
+
+// init establishes the heap order over arbitrarily ordered events.
+func (q eventQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (q eventQueue) down(i int) {
+	n := len(q)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && q[r].before(q[m]) {
+			m = r
+		}
+		if !q[m].before(q[i]) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+}
+
+// pop removes the earliest event, q[0].
+func (q *eventQueue) pop() {
+	n := len(*q) - 1
+	(*q)[0] = (*q)[n]
+	*q = (*q)[:n]
+	q.down(0)
+}
+
+// replaceTop replaces the earliest event with e.
+func (q eventQueue) replaceTop(e event) {
+	q[0] = e
+	q.down(0)
+}
+
+// mshrReclaimAt is the live-entry count above which an insert reclaims
+// every completed fill (done <= now) from the MSHR table.
+const mshrReclaimAt = 4096
+
+// mshrTable maps a block number to the completion cycle of its demand
+// fill. It is open-addressed with linear probing; a key is stored as
+// block+1 so that a zero key marks an empty slot. The slot count is a
+// power of two and doubles whenever the table passes 3/4 full, so it has
+// no hard cap.
+type mshrTable struct {
+	slots []mshrSlot
+	spare []mshrSlot // empty reclaim target, swapped with slots
+	live  int
+	shift uint // 64 - log2(len(slots))
+}
+
+type mshrSlot struct {
+	key  uint64
+	done int64
+}
+
+// newMSHRTable returns an empty table of the given slot count, which must
+// be a power of two.
+func newMSHRTable(slots int) *mshrTable {
+	m := &mshrTable{}
+	m.resize(slots)
+	return m
+}
+
+func (m *mshrTable) resize(slots int) {
+	m.slots = make([]mshrSlot, slots)
+	m.spare = make([]mshrSlot, slots)
+	m.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// slot returns the index holding key, or the empty slot where it belongs.
+func (m *mshrTable) slot(key uint64) int {
+	mask := len(m.slots) - 1
+	i := int((key * 0x9E3779B97F4A7C15) >> m.shift)
+	for m.slots[i].key != 0 && m.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the fill completion recorded for block bn.
+func (m *mshrTable) get(bn uint64) (int64, bool) {
+	s := m.slots[m.slot(bn+1)]
+	return s.done, s.key != 0
+}
+
+// put records done as the fill completion of block bn.
+func (m *mshrTable) put(bn uint64, done int64) {
+	i := m.slot(bn + 1)
+	if m.slots[i].key == 0 {
+		if 4*(m.live+1) > 3*len(m.slots) {
+			m.grow()
+			i = m.slot(bn + 1)
+		}
+		m.live++
+	}
+	m.slots[i] = mshrSlot{key: bn + 1, done: done}
+}
+
+// grow doubles the slot count, rehashing every entry.
+func (m *mshrTable) grow() {
+	old := m.slots
+	m.resize(2 * len(old))
+	for _, s := range old {
+		if s.key != 0 {
+			m.slots[m.slot(s.key)] = s
+		}
+	}
+}
+
+// reclaim drops every entry whose fill completed by now, rehashing the
+// survivors into the spare slots.
+func (m *mshrTable) reclaim(now int64) {
+	old := m.slots
+	m.slots, m.spare = m.spare, old
+	m.live = 0
+	for _, s := range old {
+		if s.key == 0 || s.done <= now {
+			continue
+		}
+		m.slots[m.slot(s.key)] = s
+		m.live++
+	}
+	clear(old)
 }
 
 // SimulateSource renders one frame (its LLC access trace) on the
@@ -150,6 +274,9 @@ func (h *eventHeap) Pop() interface{} {
 func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	if cfg.Cores <= 0 || cfg.ThreadsPerCore <= 0 {
 		panic(fmt.Sprintf("gpu: invalid shader array %dx%d", cfg.Cores, cfg.ThreadsPerCore))
+	}
+	if cfg.LLCBanks <= 0 {
+		panic(fmt.Sprintf("gpu: invalid LLC bank count %d", cfg.LLCBanks))
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 64
@@ -173,9 +300,14 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	// MSHRs: outstanding demand fills indexed by block number. A thread
 	// hitting a block whose fill is still in flight waits for that fill
 	// instead of receiving data at the LLC pipeline latency; a second
-	// miss merges rather than issuing a duplicate DRAM fetch. Entries
-	// whose fill has completed are lazily reclaimed.
-	mshr := make(map[uint64]int64, 1024)
+	// miss merges rather than issuing a duplicate DRAM fetch. Completed
+	// entries are reclaimed all at once by the insert that takes the
+	// table past mshrReclaimAt live entries, against that access's now.
+	// now is not monotonic (events pop in wake order, but the shading gap
+	// before each access differs by stream), so reclaiming at any other
+	// moment would drop a different set of entries and change later
+	// merges and cycle counts.
+	mshr := newMSHRTable(2 * mshrReclaimAt)
 
 	// The LLC's downstream is DRAM: demand fetches and writebacks are
 	// issued at the simulation time of the access that triggered them.
@@ -187,19 +319,15 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 			return
 		}
 		bn := a.Addr >> 6
-		if done, ok := mshr[bn]; ok && done > now {
+		if done, ok := mshr.get(bn); ok && done > now {
 			lastFill = done // merge with the in-flight fill
 			return
 		}
 		done := mem.Access(a.Addr, now, false)
-		mshr[bn] = done
+		mshr.put(bn, done)
 		lastFill = done
-		if len(mshr) > 4096 {
-			for k, d := range mshr {
-				if d <= now {
-					delete(mshr, k)
-				}
-			}
+		if mshr.live > mshrReclaimAt {
+			mshr.reclaim(now)
 		}
 	})
 
@@ -223,19 +351,19 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	bankFree := make([]int64, cfg.LLCBanks)
 	samplerFree := make([]int64, max(1, cfg.Samplers))
 
-	h := make(eventHeap, 0, nThreads)
+	q := make(eventQueue, 0, nThreads)
 	var seq int64
 	for t := 0; t < nThreads && t < nChunks; t++ {
 		chunkOf[t] = t
-		h = append(h, event{t: 0, thread: int32(t), seq: seq})
+		q = append(q, event{t: 0, thread: int32(t), seq: seq})
 		seq++
 	}
-	heap.Init(&h)
+	q.init()
 
 	var cycles int64
 	var accesses int64
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for len(q) > 0 {
+		ev := q[0]
 		th := int(ev.thread)
 
 		// Fetch the thread's next access, advancing through its chunks.
@@ -253,7 +381,8 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 			if ev.t > cycles {
 				cycles = ev.t
 			}
-			continue // thread retires
+			q.pop() // thread retires
+			continue
 		}
 		k, w := stream.UnpackMeta(meta[pos])
 		a := stream.Access{Addr: addrs[pos], Seq: int64(pos), Kind: k, Write: w}
@@ -293,7 +422,7 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 		if hit && !a.Write {
 			// A hit on a block whose demand fill is still in flight
 			// (secondary miss) delivers data when the fill lands.
-			if fd, ok := mshr[a.Addr>>6]; ok && fd > done {
+			if fd, ok := mshr.get(a.Addr >> 6); ok && fd > done {
 				done = fd
 			}
 		}
@@ -307,7 +436,7 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 		if done > cycles {
 			cycles = done
 		}
-		heap.Push(&h, event{t: resume, thread: int32(th), seq: seq})
+		q.replaceTop(event{t: resume, thread: int32(th), seq: seq})
 		seq++
 	}
 

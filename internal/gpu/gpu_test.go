@@ -1,11 +1,14 @@
 package gpu
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"gspc/internal/cachesim"
 	"gspc/internal/policy"
 	"gspc/internal/stream"
+	"gspc/internal/xrand"
 )
 
 func smallGeom() cachesim.Geometry {
@@ -154,14 +157,28 @@ func TestStoresDoNotBlock(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero cores")
-		}
-	}()
-	cfg := smallConfig()
-	cfg.Cores = 0
-	SimulateSource(mkTrace(10, 10, stream.Z), cfg, policy.NewLRU())
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		{"zero threads per core", func(c *Config) { c.ThreadsPerCore = 0 }},
+		{"zero LLC banks", func(c *Config) { c.LLCBanks = 0 }},
+		{"negative LLC banks", func(c *Config) { c.LLCBanks = -2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "gpu: invalid ") {
+					t.Errorf("panic %q, want a \"gpu: invalid ...\" message", msg)
+				}
+			}()
+			cfg := smallConfig()
+			tc.mut(&cfg)
+			SimulateSource(mkTrace(10, 10, stream.Z), cfg, policy.NewLRU())
+		})
+	}
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -206,5 +223,180 @@ func TestSecondaryMissWaitsForFill(t *testing.T) {
 	// The frame cannot finish before one DRAM round trip.
 	if r.Cycles < 60 {
 		t.Errorf("frame finished in %d cycles, before DRAM could respond", r.Cycles)
+	}
+}
+
+// TestEventQueueMatchesSort drives the event queue the way the timing
+// loop does — the earliest event either retires or is rescheduled no
+// earlier than it was — and requires it to agree with a reference that
+// re-sorts the pending events on (t, seq) before every step.
+func TestEventQueueMatchesSort(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		r := xrand.New(seed)
+		n := 1 + r.Intn(200)
+		var q eventQueue
+		for i, s := range permutation(r, n) {
+			q = append(q, event{t: int64(r.Intn(20)), seq: int64(s), thread: int32(i)})
+		}
+		pending := append([]event(nil), q...)
+		q.init()
+		seq := int64(n)
+		var popped []event
+		for reschedules := 0; len(q) > 0; {
+			sort.Slice(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
+			if q[0] != pending[0] {
+				t.Fatalf("seed %d: top %+v, want %+v", seed, q[0], pending[0])
+			}
+			if reschedules < 4*n && r.Bool(0.7) {
+				e := event{t: q[0].t + int64(r.Intn(20)), seq: seq, thread: q[0].thread}
+				seq++
+				reschedules++
+				q.replaceTop(e)
+				pending[0] = e
+				continue
+			}
+			popped = append(popped, q[0])
+			q.pop()
+			pending = pending[1:]
+		}
+		want := append([]event(nil), popped...)
+		sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+		for i := range want {
+			if popped[i] != want[i] {
+				t.Fatalf("seed %d: pop %d = %+v, want %+v", seed, i, popped[i], want[i])
+			}
+		}
+	}
+}
+
+// permutation returns a seeded shuffle of 0..n-1.
+func permutation(r *xrand.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// TestMSHRTableMatchesMap replays one random put/reclaim sequence, with a
+// non-monotonic now, against the MSHR table and a plain map and requires
+// identical lookups after every step.
+func TestMSHRTableMatchesMap(t *testing.T) {
+	cases := []struct {
+		name      string
+		slots     int
+		keys      int
+		reclaimP  float64
+		wantGrown bool
+	}{
+		{"churn", 64, 40, 0.1, false},
+		{"simulation-sized table", 2 * mshrReclaimAt, 6000, 0.002, false},
+		// Far more live entries than initial slots: the table must grow
+		// rather than probe forever.
+		{"grows past initial capacity", 16, 3000, 0.0005, true},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := xrand.New(uint64(i + 1))
+			// Block numbers from anywhere in the address space, plus 0.
+			keys := make([]uint64, tc.keys)
+			for k := 1; k < len(keys); k++ {
+				keys[k] = r.Uint64() >> 6
+			}
+			m := newMSHRTable(tc.slots)
+			ref := map[uint64]int64{}
+			check := func(step int, bn uint64) {
+				got, ok := m.get(bn)
+				want, wok := ref[bn]
+				if got != want || ok != wok {
+					t.Fatalf("step %d: get(%d) = %d,%v, want %d,%v", step, bn, got, ok, want, wok)
+				}
+			}
+			now := int64(1 << 20)
+			for step := range 20000 {
+				now += int64(r.Intn(200)) - 90
+				bn := keys[r.Intn(len(keys))]
+				if r.Bool(tc.reclaimP) {
+					m.reclaim(now)
+					for k, d := range ref {
+						if d <= now {
+							delete(ref, k)
+						}
+					}
+				} else {
+					done := now + int64(r.Intn(500))
+					m.put(bn, done)
+					ref[bn] = done
+				}
+				if m.live != len(ref) {
+					t.Fatalf("step %d: %d live entries, want %d", step, m.live, len(ref))
+				}
+				check(step, bn)
+				check(step, keys[r.Intn(len(keys))])
+			}
+			for _, bn := range keys {
+				check(-1, bn)
+			}
+			if grown := len(m.slots) > tc.slots; grown != tc.wantGrown {
+				t.Errorf("table grew to %d slots from %d, want grown=%v", len(m.slots), tc.slots, tc.wantGrown)
+			}
+		})
+	}
+}
+
+// TestSimulateAllocsFlatInTraceLength requires the per-access path to
+// allocate nothing: a trace eight times longer costs no more allocations.
+func TestSimulateAllocsFlatInTraceLength(t *testing.T) {
+	cfg := DefaultConfig(smallGeom())
+	allocs := func(tr *stream.Trace) float64 {
+		return testing.AllocsPerRun(3, func() {
+			SimulateSource(tr, cfg, policy.NewDRRIP(2))
+		})
+	}
+	const n = 6000
+	short := allocs(mkTrace(n, 5000, stream.Texture))
+	long := allocs(mkTrace(8*n, 5000, stream.Texture))
+	if short != long {
+		t.Errorf("%v allocs for %d accesses, %v for %d: allocation grows with trace length", short, n, long, 8*n)
+	}
+}
+
+// TestMSHRReclaimMomentPinned pins cycle counts on mixed-stream traces
+// whose timing depends on exactly when completed MSHR entries are
+// reclaimed: on each of them, reclaiming one insert later (at 4098 live
+// entries instead of 4097) changes the cycle count, because now is not
+// monotonic and a stale entry can still delay a later access.
+func TestMSHRReclaimMomentPinned(t *testing.T) {
+	cases := []struct {
+		seed   uint64
+		cycles int64
+		reads  int64
+	}{
+		{5, 411609, 23039},
+		{6, 368876, 20710},
+		{8, 408326, 22860},
+		{18, 329661, 17166},
+	}
+	cfg := DefaultConfig(cachesim.Geometry{SizeBytes: 16 << 10, Ways: 4, BlockSize: 64})
+	for _, tc := range cases {
+		r := xrand.New(tc.seed)
+		distinct := 3000 + r.Intn(20000)
+		hot := 16 + r.Intn(512)
+		tr := buildTrace(30000, func(int) stream.Access {
+			bn := uint64(r.Intn(distinct))
+			if r.Bool(0.5) {
+				bn = uint64(r.Intn(hot))
+			}
+			k := stream.Kind(r.Intn(int(stream.NumKinds)))
+			return stream.Access{Addr: bn * 64, Kind: k, Write: r.Bool(0.1)}
+		})
+		res := SimulateSource(tr, cfg, policy.NewLRU())
+		if res.Cycles != tc.cycles || res.DRAM.Reads != tc.reads {
+			t.Errorf("seed %d: %d cycles, %d DRAM reads; want %d, %d", tc.seed, res.Cycles, res.DRAM.Reads, tc.cycles, tc.reads)
+		}
 	}
 }
