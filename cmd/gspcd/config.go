@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"gspc/internal/harness"
@@ -14,13 +13,12 @@ import (
 // options holds every gspcd flag after parsing and validation, so the
 // parse/validate path is testable without exec'ing the binary.
 type options struct {
-	addr        string
-	queue       int
-	workers     int
-	simWorkers  int
-	cacheSize   int
-	cachePolicy string
-	drain       time.Duration
+	addr       string
+	queue      int
+	workers    int
+	simWorkers int
+	cacheSize  int
+	drain      time.Duration
 
 	jobTimeout   time.Duration
 	maxRetries   int
@@ -68,7 +66,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "concurrent experiment runners (0 = GOMAXPROCS)")
 	fs.IntVar(&o.simWorkers, "sim-workers", 0, "default per-experiment trace-synthesis workers for requests that leave it unset (0 = harness default)")
 	fs.IntVar(&o.cacheSize, "cache-entries", 128, "result cache capacity in entries (0 disables)")
-	fs.StringVar(&o.cachePolicy, "cache-policy", "lru", "result cache eviction policy: "+strings.Join(service.CachePolicyNames(), "|"))
 	fs.DurationVar(&o.drain, "drain-timeout", 5*time.Minute, "max time to drain in-flight jobs on shutdown")
 
 	fs.DurationVar(&o.jobTimeout, "job-timeout", 0, "engine-wide per-job deadline; request timeout_ms can only tighten it (0 = none)")
@@ -127,10 +124,6 @@ func (o *options) validate() error {
 	if o.cacheSize < 0 {
 		return fmt.Errorf("-cache-entries must not be negative, got %d (0 disables the cache)", o.cacheSize)
 	}
-	if !validPolicy(o.cachePolicy) {
-		return fmt.Errorf("-cache-policy %q unknown; choose one of %s",
-			o.cachePolicy, strings.Join(service.CachePolicyNames(), "|"))
-	}
 	if o.drain <= 0 {
 		return fmt.Errorf("-drain-timeout must be positive, got %s", o.drain)
 	}
@@ -180,22 +173,12 @@ func (o *options) validate() error {
 	return nil
 }
 
-func validPolicy(name string) bool {
-	for _, p := range service.CachePolicyNames() {
-		if name == p {
-			return true
-		}
-	}
-	return false
-}
-
 // engineConfig translates the validated flags into a service.Config.
 func (o *options) engineConfig() service.Config {
 	cfg := service.Config{
 		QueueDepth:       o.queue,
 		Workers:          o.workers,
 		CacheEntries:     o.cacheSize,
-		CachePolicy:      o.cachePolicy,
 		JobTimeout:       o.jobTimeout,
 		MaxRetries:       o.maxRetries,
 		RetryBackoff:     o.backoff,

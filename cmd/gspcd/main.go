@@ -1,11 +1,10 @@
 // Command gspcd serves the paper's experiments over HTTP: a bounded job
-// queue, a worker pool, request coalescing, and a result cache whose
-// eviction is handled by the repo's own LLC replacement policies.
+// queue, a worker pool, request coalescing, and an LRU result cache.
 //
 // Usage:
 //
 //	gspcd [-addr :8080] [-queue 64] [-workers N] [-sim-workers N]
-//	      [-cache-entries 128] [-cache-policy lru|nru|drrip]
+//	      [-cache-entries 128]
 //	      [-job-timeout 0] [-max-retries 2] [-retry-backoff 50ms]
 //	      [-breaker-threshold 5] [-breaker-cooldown 30s]
 //	      [-serve-stale] [-max-work 0] [-expose-stacks]
@@ -173,7 +172,7 @@ func main() {
 		persistence = "journal at " + opt.dataDir
 	}
 	logger.Info("gspcd listening", "addr", opt.addr, "queue", opt.queue,
-		"cache_entries", opt.cacheSize, "cache_policy", opt.cachePolicy,
+		"cache_entries", opt.cacheSize,
 		"persistence", persistence)
 
 	select {

@@ -18,7 +18,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := o.engineConfig()
-	if cfg.QueueDepth != 64 || cfg.CacheEntries != 128 || cfg.CachePolicy != "lru" {
+	if cfg.QueueDepth != 64 || cfg.CacheEntries != 128 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	if cfg.DataDir != "" || !cfg.Fsync || cfg.SnapshotEvery != 256 {
@@ -51,7 +51,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		args []string
 		want string // substring of the error
 	}{
-		{"bad policy", []string{"-cache-policy", "belady"}, "cache-policy"},
 		{"negative queue", []string{"-queue", "-1"}, "-queue"},
 		{"zero queue", []string{"-queue", "0"}, "-queue"},
 		{"negative cache", []string{"-cache-entries", "-5"}, "-cache-entries"},
@@ -80,16 +79,6 @@ func TestParseFlagsRejects(t *testing.T) {
 				t.Fatalf("args %v: error %q does not mention %q", tc.args, err, tc.want)
 			}
 		})
-	}
-}
-
-// TestParseFlagsValidPolicies accepts every policy the service
-// actually registers, so the validation can't drift behind the list.
-func TestParseFlagsValidPolicies(t *testing.T) {
-	for _, p := range []string{"lru", "nru", "drrip"} {
-		if _, err := parse(t, "-cache-policy", p); err != nil {
-			t.Fatalf("policy %s rejected: %v", p, err)
-		}
 	}
 }
 

@@ -59,6 +59,11 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("durable: snapshot decode: %w", err)
 	}
+	for id, j := range st.Jobs {
+		if j == nil { // recovery walks every job; a null one would crash it
+			return nil, fmt.Errorf("durable: snapshot job %q is null", id)
+		}
+	}
 	return &st, nil
 }
 

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -87,13 +89,26 @@ func TestRequestNormalizeApps(t *testing.T) {
 	if _, err := (Request{Experiment: "fig1", Scale: 9}).Normalize(); err == nil {
 		t.Error("absurd scale accepted")
 	}
+	for _, r := range []Request{
+		{Experiment: "fig1", Scale: math.NaN()},
+		{Experiment: "fig12", CapacityFactor: 1e6},
+		{Experiment: "fig12", CapacityFactor: 4.5},
+		{Experiment: "fig12", CapacityFactor: math.Inf(1)},
+		{Experiment: "fig12", CapacityFactor: math.Inf(-1)},
+		{Experiment: "fig12", CapacityFactor: math.NaN()},
+	} {
+		var bad *BadRequestError
+		if _, err := r.Normalize(); !errors.As(err, &bad) {
+			t.Errorf("Normalize(scale %g, capacity_factor %g) = %v, want a BadRequestError", r.Scale, r.CapacityFactor, err)
+		}
+	}
+	if n, err := (Request{Experiment: "fig12", CapacityFactor: 4}).Normalize(); err != nil || n.CapacityFactor != 4 {
+		t.Errorf("capacity_factor 4 (the bound) = %+v, %v", n, err)
+	}
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	c, err := newResultCache(2, "lru")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newResultCache(2)
 	va, vb, vc := &cached{runID: "a"}, &cached{runID: "b"}, &cached{runID: "c"}
 	c.Put("A", va)
 	c.Put("B", vb)
@@ -117,44 +132,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestResultCacheDRRIPStaysBounded(t *testing.T) {
-	c, err := newResultCache(4, "drrip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "a", "b"}
-	for i, k := range keys {
-		c.Put(k, &cached{runID: k})
-		if got := c.Len(); got > 4 {
-			t.Fatalf("after %d puts: %d entries exceed capacity 4", i+1, got)
-		}
-	}
-	// Every resident key must round-trip.
-	resident := 0
-	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		if v, ok := c.Get(k); ok {
-			resident++
-			if v.runID != k {
-				t.Errorf("key %s returned value %s", k, v.runID)
-			}
-		}
-	}
-	h, m, ev := c.counters()
-	if int(ev)+c.Len() < 8-int(c.declined) {
-		t.Errorf("bookkeeping leak: %d evictions + %d resident + %d declined < 8 distinct puts", ev, c.Len(), c.declined)
-	}
-	if resident != c.Len() {
-		t.Errorf("found %d keys by Get but Len reports %d", resident, c.Len())
-	}
-	_ = h
-	_ = m
-}
-
 func TestResultCacheFirstValueWins(t *testing.T) {
-	c, err := newResultCache(2, "lru")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newResultCache(2)
 	c.Put("A", &cached{runID: "first"})
 	c.Put("A", &cached{runID: "second"})
 	if v, _ := c.Get("A"); v.runID != "first" {
@@ -162,20 +141,14 @@ func TestResultCacheFirstValueWins(t *testing.T) {
 	}
 }
 
-func TestResultCacheDisabledAndBadPolicy(t *testing.T) {
-	c, err := newResultCache(0, "lru")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestResultCacheDisabled(t *testing.T) {
+	c := newResultCache(0)
 	c.Put("A", &cached{})
 	if _, ok := c.Get("A"); ok {
 		t.Error("disabled cache returned a hit")
 	}
-	if c.PolicyName() != "none" {
-		t.Errorf("disabled cache policy = %q", c.PolicyName())
-	}
-	if _, err := newResultCache(4, "belady"); err == nil {
-		t.Error("unknown cache policy accepted")
+	if c.Len() != 0 {
+		t.Errorf("disabled cache holds %d entries", c.Len())
 	}
 }
 
@@ -186,10 +159,7 @@ func TestResultCacheDisabledAndBadPolicy(t *testing.T) {
 // the memory governor depends on: the byte gauge equals the sum of the
 // resident bodies.
 func TestResultCacheReplaceRacesEviction(t *testing.T) {
-	c, err := newResultCache(8, "lru")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newResultCache(8)
 	hot := []string{"h0", "h1", "h2", "h3"}
 	for _, k := range hot {
 		c.Put(k, &cached{runID: k, body: make([]byte, 64)})

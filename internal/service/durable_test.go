@@ -112,6 +112,53 @@ func TestDurableRestartServesCompletedRun(t *testing.T) {
 	}
 }
 
+// TestDurableRestartKeepsCacheRecency: a restart must not scramble the
+// result cache's recency order. A, B, C fill a 3-entry cache and A is
+// touched again, so B is least recently used; after a clean restart, a
+// fourth result must evict B, not the freshly used A.
+func TestDurableRestartKeepsCacheRecency(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.CacheEntries = 3
+	ctx := context.Background()
+	key := func(exp string) string {
+		n, err := Request{Experiment: exp}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.Key()
+	}
+	e1, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range []string{"fig1", "fig4", "fig5", "fig1"} {
+		if _, err := e1.Do(ctx, Request{Experiment: exp}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Shutdown(ctx)
+	if _, err := e2.Do(ctx, Request{Experiment: "fig12"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e2.Cached(key("fig4")); ok {
+		t.Error("restored cache kept B (fig4), the least recently used entry")
+	}
+	for _, exp := range []string{"fig1", "fig5", "fig12"} {
+		if _, ok := e2.Cached(key(exp)); !ok {
+			t.Errorf("restored cache evicted %s", exp)
+		}
+	}
+}
+
 // TestDurableCrashRecovery boots from a crash image taken while one
 // job was running and another queued: the completed job survives, the
 // mid-flight job is failed-retryable, the queued job is resubmitted

@@ -51,9 +51,6 @@ type Config struct {
 	// CacheEntries is the result cache capacity (0 disables caching,
 	// < 0 means default). Default 128.
 	CacheEntries int
-	// CachePolicy selects the eviction policy backing the result cache:
-	// one of CachePolicyNames. Default "lru".
-	CachePolicy string
 	// Run overrides the experiment runner (tests, fault injection). The
 	// context carries the per-job deadline and must be honored for
 	// deadlines to actually stop work. Default: the harness with context
@@ -182,9 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 128
 	}
-	if c.CachePolicy == "" {
-		c.CachePolicy = "lru"
-	}
 	if c.Run == nil {
 		c.Run = func(ctx context.Context, r Request) (*harness.Result, error) {
 			return harness.RunResultContext(ctx, r.Experiment, r.Options())
@@ -305,7 +299,7 @@ type Reply struct {
 }
 
 // Engine owns the queue, the worker pool, the coalescing table, and the
-// policy-backed result cache.
+// LRU result cache.
 type Engine struct {
 	cfg   Config
 	cache *resultCache
@@ -359,13 +353,9 @@ type Engine struct {
 // NewEngine builds and starts an engine; callers must Shutdown it.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	cache, err := newResultCache(cfg.CacheEntries, cfg.CachePolicy)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		cfg:      cfg,
-		cache:    cache,
+		cache:    newResultCache(cfg.CacheEntries),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		stop:     make(chan struct{}),
 		jobs:     map[string]*Job{},

@@ -185,7 +185,7 @@ func TestBackpressureWhenQueueFull(t *testing.T) {
 
 func TestPolicyBackedEvictionRecomputes(t *testing.T) {
 	var calls int64
-	e := newTestEngine(t, Config{Workers: 1, CacheEntries: 2, CachePolicy: "lru",
+	e := newTestEngine(t, Config{Workers: 1, CacheEntries: 2,
 		Run: countingRunner(&calls)})
 
 	ctx := context.Background()

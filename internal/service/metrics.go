@@ -40,12 +40,11 @@ type Metrics struct {
 	BreakerStates    map[string]string `json:"breaker_states,omitempty"`
 	StaleServed      int64             `json:"stale_served"`
 
-	CacheHits      int64  `json:"cache_hits"`
-	CacheMisses    int64  `json:"cache_misses"`
-	CacheEvictions int64  `json:"cache_evictions"`
-	CacheEntries   int    `json:"cache_entries"`
-	CacheCapacity  int    `json:"cache_capacity"`
-	CachePolicy    string `json:"cache_policy"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	CacheEntries   int   `json:"cache_entries"`
+	CacheCapacity  int   `json:"cache_capacity"`
 
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
@@ -164,7 +163,7 @@ func (e *Engine) Metrics() Metrics {
 		memory.StaleServed = e.memStaleServed
 		memory.EscalationsSkipped = e.memEscSkipped
 	}
-	hits, misses, evictions := e.cache.counters()
+	cache := e.cache.Stats()
 	var sampling *SamplingMetrics
 	if sim := telemetry.Sim(); e.sampledJobs > 0 || e.escalations > 0 || sim.SampledReplays > 0 {
 		sampling = &SamplingMetrics{
@@ -221,12 +220,11 @@ func (e *Engine) Metrics() Metrics {
 		BreakerStates:    states,
 		StaleServed:      e.staleServed,
 
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheEvictions: evictions,
-		CacheEntries:   e.cache.Len(),
-		CacheCapacity:  e.cache.ways,
-		CachePolicy:    e.cache.PolicyName(),
+		CacheHits:      cache.Hits,
+		CacheMisses:    cache.Misses,
+		CacheEvictions: cache.Evictions,
+		CacheEntries:   cache.Entries,
+		CacheCapacity:  int(cache.Budget),
 		QueueDepth:     len(e.queue),
 		QueueCapacity:  e.cfg.QueueDepth,
 		Workers:        e.cfg.Workers,

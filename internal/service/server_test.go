@@ -91,7 +91,7 @@ func TestServerBasicEndpoints(t *testing.T) {
 
 	var m Metrics
 	getJSON(t, ts.URL+"/metricsz", &m)
-	if m.QueueCapacity == 0 || m.CachePolicy != "LRU" {
+	if m.QueueCapacity == 0 || m.CacheCapacity == 0 {
 		t.Errorf("metricsz = %+v", m)
 	}
 }

@@ -1,9 +1,8 @@
 // Package service turns the one-shot experiment harness into a serving
 // system: a canonical request type with deterministic cache keys, a
 // bounded job queue with backpressure, a worker pool, coalescing of
-// concurrent identical requests, and an in-memory result cache whose
-// eviction is delegated to the repo's own LLC replacement policies
-// (internal/policy) — the reproduction dogfooding its subject matter.
+// concurrent identical requests, and an in-memory LRU result cache
+// (internal/lru, the same keyed cache behind the frame-trace cache).
 // cmd/gspcd exposes the engine over HTTP.
 package service
 
@@ -11,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -70,8 +70,14 @@ func (r Request) Normalize() (Request, error) {
 	if _, ok := harness.ByIDExt(r.Experiment); !ok {
 		return r, &BadRequestError{Reason: fmt.Sprintf("unknown experiment %q", r.Experiment)}
 	}
-	if r.Scale < 0 || r.Scale > 4 {
+	if !(r.Scale >= 0 && r.Scale <= 4) { // also rejects NaN
 		return r, &BadRequestError{Reason: fmt.Sprintf("scale %g out of range (0, 4]", r.Scale)}
+	}
+	// capacity_factor sizes the LLC set array directly; unbounded, one
+	// request could ask for a fatal multi-gigabyte allocation. Zero or
+	// negative still means the harness default.
+	if math.IsInf(r.CapacityFactor, 0) || !(r.CapacityFactor <= 4) {
+		return r, &BadRequestError{Reason: fmt.Sprintf("capacity_factor %g out of range (0, 4]", r.CapacityFactor)}
 	}
 	if r.TimeoutMS < 0 {
 		return r, &BadRequestError{Reason: fmt.Sprintf("timeout_ms %d must be non-negative", r.TimeoutMS)}
@@ -121,8 +127,8 @@ func (r Request) Normalize() (Request, error) {
 			apps = append(apps, a)
 		}
 		sort.Strings(apps)
-		if len(apps) == len(workload.Profiles()) {
-			apps = nil // the full suite, spelled out
+		if len(apps) == 0 || len(apps) == len(workload.Profiles()) {
+			apps = nil // blank entries only, or the full suite spelled out
 		}
 		r.Apps = apps
 	}

@@ -5,9 +5,10 @@
 // policy, yet every experiment in internal/harness replays the same
 // 52-frame suite and every gspcd job re-runs frames other jobs just
 // synthesized. The cache keys a packed, read-only stream.Trace by
-// (frame job, scale, render-cache config digest) and deduplicates
-// concurrent synthesis with singleflight, so the whole process pays for
-// each distinct frame trace once while it stays within the byte budget.
+// (frame job, scale, render-cache config digest) in an lru.Cache costed
+// in packed bytes, whose singleflight fills deduplicate concurrent
+// synthesis, so the whole process pays for each distinct frame trace
+// once while it stays within the byte budget.
 //
 // Traces handed out by Get are shared: callers must treat them as
 // immutable. Eviction only drops the cache's own reference — in-flight
@@ -16,12 +17,12 @@
 package tracecache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"gspc/internal/lru"
 	"gspc/internal/stream"
 	"gspc/internal/telemetry"
 )
@@ -66,34 +67,13 @@ type Stats struct {
 	SynthTotalMs float64 `json:"synth_total_ms"`
 }
 
-type entry struct {
-	key   Key
-	trace *stream.Trace
-	bytes int64
-	elem  *list.Element
-}
-
-// call is one in-flight synthesis that concurrent lookups coalesce onto.
-type call struct {
-	done  chan struct{}
-	trace *stream.Trace
-	err   error
-}
-
-// Cache is the shared frame-trace cache. The zero value is not usable;
-// construct with New.
+// Cache is the shared frame-trace cache: an lru.Cache costed in packed
+// trace bytes, plus the synthesis-time counters. The zero value is not
+// usable; construct with New.
 type Cache struct {
-	mu       sync.Mutex
-	budget   int64
-	used     int64
-	entries  map[Key]*entry
-	lru      *list.List // front = most recently used; values are *entry
-	inflight map[Key]*call
-
-	hits, misses, coalesced int64
-	evictions, evictedBytes int64
-	synthCount              int64
-	synthNanos              int64
+	lru        *lru.Cache[Key, *stream.Trace]
+	synthCount atomic.Int64
+	synthNanos atomic.Int64
 }
 
 // New returns a cache bounded by budgetBytes of packed trace data. A
@@ -101,161 +81,51 @@ type Cache struct {
 // synthesizes (still deduplicated against concurrent identical lookups)
 // and nothing is kept.
 func New(budgetBytes int64) *Cache {
-	return &Cache{
-		budget:   budgetBytes,
-		entries:  map[Key]*entry{},
-		lru:      list.New(),
-		inflight: map[Key]*call{},
-	}
+	return &Cache{lru: lru.New[Key](budgetBytes, (*stream.Trace).Bytes)}
 }
 
 // SetBudget adjusts the byte budget at runtime, evicting LRU entries if
 // the cache is now over it.
-func (c *Cache) SetBudget(budgetBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = budgetBytes
-	c.evictOverBudgetLocked()
-}
+func (c *Cache) SetBudget(budgetBytes int64) { c.lru.SetBudget(budgetBytes) }
 
 // Get returns the trace for k, synthesizing it with synth on a miss.
-// Concurrent Gets for the same key share one synthesis: one caller runs
-// synth, the rest wait. A waiter whose ctx dies returns ctx.Err()
-// immediately without disturbing the synthesis; if the synthesizing
-// caller fails (typically its own cancellation), each still-live waiter
-// retries the lookup — one of them becomes the new synthesizer — so one
-// cancelled request never poisons the others.
+// Concurrent Gets for the same key share one synthesis, with lru.Cache's
+// waiter-cancellation and leader-failure rules. Each lookup records a
+// trace-cache span whose outcome attr is hit, miss, coalesced or
+// cancelled.
 //
 // The returned trace is shared and must be treated as read-only.
 func (c *Cache) Get(ctx context.Context, k Key, synth func(ctx context.Context) (*stream.Trace, error)) (*stream.Trace, error) {
 	sp := telemetry.StartFrom(ctx, k.Job, "trace-cache")
-	for {
-		if err := ctx.Err(); err != nil {
-			sp.Attr(telemetry.String("outcome", "cancelled")).End()
-			return nil, err
+	tr, out, err := c.lru.Get(ctx, k, func(ctx context.Context) (*stream.Trace, error) {
+		start := time.Now()
+		tr, err := synth(ctx)
+		if err == nil {
+			c.synthCount.Add(1)
+			c.synthNanos.Add(time.Since(start).Nanoseconds())
 		}
-		c.mu.Lock()
-		if e, ok := c.entries[k]; ok {
-			c.lru.MoveToFront(e.elem)
-			c.hits++
-			c.mu.Unlock()
-			sp.Attr(telemetry.String("outcome", "hit")).End()
-			return e.trace, nil
-		}
-		if cl, ok := c.inflight[k]; ok {
-			c.coalesced++
-			c.mu.Unlock()
-			select {
-			case <-cl.done:
-			case <-ctx.Done():
-				sp.Attr(telemetry.String("outcome", "cancelled")).End()
-				return nil, ctx.Err()
-			}
-			if cl.err == nil {
-				sp.Attr(telemetry.String("outcome", "coalesced")).End()
-				return cl.trace, nil
-			}
-			// The synthesizer failed — usually its context died mid-flight.
-			// Retry: the entry may have been inserted by a later success, or
-			// this caller becomes the new synthesizer.
-			continue
-		}
-		cl := &call{done: make(chan struct{})}
-		c.inflight[k] = cl
-		c.misses++
-		c.mu.Unlock()
-		tr, err := c.synthesize(ctx, k, cl, synth)
-		sp.Attr(telemetry.String("outcome", "miss")).End()
 		return tr, err
-	}
-}
-
-// synthesize runs one deduplicated synthesis for k and publishes the
-// outcome to every waiter. The deferred completion also covers a
-// panicking synth: waiters are released with an error before the panic
-// propagates, so a poisoned frame can never hang its coalesced lookups.
-func (c *Cache) synthesize(ctx context.Context, k Key, cl *call, synth func(ctx context.Context) (*stream.Trace, error)) (*stream.Trace, error) {
-	start := time.Now()
-	completed := false
-	defer func() {
-		if !completed {
-			cl.err = fmt.Errorf("tracecache: synthesis of %s panicked", k)
-		}
-		c.mu.Lock()
-		delete(c.inflight, k)
-		if cl.err == nil {
-			c.synthCount++
-			c.synthNanos += time.Since(start).Nanoseconds()
-			c.insertLocked(k, cl.trace)
-		}
-		c.mu.Unlock()
-		close(cl.done)
-	}()
-	cl.trace, cl.err = synth(ctx)
-	completed = true
-	return cl.trace, cl.err
-}
-
-// insertLocked adds a freshly synthesized trace and evicts down to the
-// budget. A trace larger than the whole budget is returned to callers
-// but never retained. Callers hold c.mu.
-func (c *Cache) insertLocked(k Key, t *stream.Trace) {
-	bytes := t.Bytes()
-	if bytes > c.budget {
-		return
-	}
-	if e, ok := c.entries[k]; ok {
-		// A concurrent path already inserted this key (e.g. a retry after
-		// a failed synthesis raced a successful one). Keep the resident
-		// entry; drop the duplicate.
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &entry{key: k, trace: t, bytes: bytes}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.used += bytes
-	c.evictOverBudgetLocked()
-}
-
-// evictOverBudgetLocked drops least-recently-used entries until the
-// cache fits its budget. Callers hold c.mu.
-func (c *Cache) evictOverBudgetLocked() {
-	for c.used > c.budget {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.used -= e.bytes
-		c.evictions++
-		c.evictedBytes += e.bytes
-	}
+	})
+	sp.Attr(telemetry.String("outcome", out.String())).End()
+	return tr, err
 }
 
 // Len returns the number of resident traces.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.lru.Stats()
 	return Stats{
-		Hits:         c.hits,
-		Misses:       c.misses,
-		Coalesced:    c.coalesced,
-		Evictions:    c.evictions,
-		EvictedBytes: c.evictedBytes,
-		Entries:      len(c.entries),
-		BytesUsed:    c.used,
-		BudgetBytes:  c.budget,
-		SynthCount:   c.synthCount,
-		SynthTotalMs: float64(c.synthNanos) / 1e6,
+		Hits:         s.Hits,
+		Misses:       s.Misses,
+		Coalesced:    s.Coalesced,
+		Evictions:    s.Evictions,
+		EvictedBytes: s.EvictedCost,
+		Entries:      s.Entries,
+		BytesUsed:    s.Used,
+		BudgetBytes:  s.Budget,
+		SynthCount:   c.synthCount.Load(),
+		SynthTotalMs: float64(c.synthNanos.Load()) / 1e6,
 	}
 }
