@@ -26,7 +26,6 @@ type options struct {
 	brkThresh    int
 	brkCooldown  time.Duration
 	serveStale   bool
-	escalate     bool
 	maxWork      float64
 	exposeStacks bool
 	traceCacheMB int64
@@ -74,7 +73,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.brkThresh, "breaker-threshold", 5, "consecutive failures before an experiment's circuit breaker opens (-1 disables)")
 	fs.DurationVar(&o.brkCooldown, "breaker-cooldown", 30*time.Second, "how long an open breaker fast-fails before probing")
 	fs.BoolVar(&o.serveStale, "serve-stale", false, "while a breaker is open, answer with the experiment's last good result instead of 503")
-	fs.BoolVar(&o.escalate, "escalate-sampled", false, "after answering a sampled-fidelity request, run its exact twin in the background and upgrade the cached entry")
 	fs.Float64Var(&o.maxWork, "max-work", 0, "admission ceiling in frame-equivalents (frames × scale²) per request (0 = unlimited)")
 	fs.BoolVar(&o.exposeStacks, "expose-stacks", false, "include recovered panic stacks in GET /v1/runs/{id} responses (debugging aid; stacks are always logged server-side)")
 	fs.Int64Var(&o.traceCacheMB, "trace-cache-mb", harness.DefaultTraceCacheBytes>>20, "byte budget of the shared frame-trace cache in MiB (0 disables retention; synthesis is still deduplicated)")
@@ -185,7 +183,6 @@ func (o *options) engineConfig() service.Config {
 		BreakerThreshold: o.brkThresh,
 		BreakerCooldown:  o.brkCooldown,
 		ServeStale:       o.serveStale,
-		EscalateSampled:  o.escalate,
 		MaxWork:          o.maxWork,
 		ExposeStacks:     o.exposeStacks,
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gspc/internal/lru"
 	"gspc/internal/service"
 	"gspc/internal/telemetry"
 )
@@ -177,23 +178,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one cluster-level coalesced computation: the first
-// synchronous submitter of a key forwards it; every concurrent
-// identical submitter waits on done and replays the captured response.
-type flight struct {
-	done   chan struct{}
-	status int
-	header http.Header
-	body   []byte
-}
-
 // fwdResult is a forwarded response: everything needed to replay it to
 // the client (or to a coalesced waiter).
 type fwdResult struct {
 	status int
 	header http.Header
 	body   []byte
-	// member served the request (nil when coalesced onto a flight).
+	// member served the request (nil when coalesced onto another
+	// submitter's forward).
 	member *Member
 	// coalesced marks a response replayed from another submitter's
 	// in-flight forward rather than forwarded itself.
@@ -210,10 +202,13 @@ type Coordinator struct {
 	members map[string]*Member
 	names   []string // sorted member names, fixed at construction
 
-	mu      sync.Mutex
-	ring    *Ring
-	gen     int64 // ring generation, bumped on every rebuild
-	flights map[string]*flight
+	mu   sync.Mutex
+	ring *Ring
+	gen  int64 // ring generation, bumped on every rebuild
+
+	// flights coalesces concurrent synchronous submits of one key onto
+	// one forward. Budget 0: it deduplicates and retains nothing.
+	flights *lru.Cache[string, *fwdResult]
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -223,11 +218,14 @@ type Coordinator struct {
 
 	// Observability plane. flight is the /debugz ring of recent routing
 	// decisions; events the typed cluster timeline (/v1/cluster/events);
-	// traces the bounded registry of coordinator-side runs keyed by
-	// qualified run id, consulted when stitching /v1/runs/{id}/trace.
+	// traces the registry of coordinator-side runs keyed by qualified run
+	// id, consulted when stitching /v1/runs/{id}/trace. The registry is
+	// costed one per run and bounded at traceRegistryCap; Put keeps the
+	// first registration, so a coalesced resubmit never replaces the run
+	// that actually did the routing work.
 	flight *telemetry.Flight
 	events *telemetry.EventLog
-	traces *traceRegistry
+	traces *lru.Cache[string, traceEntry]
 	// spanSeq mints process-unique parent-span tokens propagated as
 	// X-Gspc-Parent-Span on every forward.
 	spanSeq atomic.Int64
@@ -319,13 +317,13 @@ func New(cfg Config) (*Coordinator, error) {
 		client:         cfg.Client,
 		members:        members,
 		names:          names,
-		flights:        map[string]*flight{},
+		flights:        lru.New[string](0, func(*fwdResult) int64 { return 1 }),
 		stop:           make(chan struct{}),
 		start:          time.Now(),
 		forwards:       telemetry.NewCounterVec(),
 		forwardErrors:  telemetry.NewCounterVec(),
 		replicasByNode: telemetry.NewCounterVec(),
-		traces:         newTraceRegistry(traceRegistryCap),
+		traces:         lru.New[string](traceRegistryCap, func(traceEntry) int64 { return 1 }),
 		fwdHist: map[string]*telemetry.Histogram{
 			outcomeOK:       telemetry.NewHistogram(forwardDurationBounds...),
 			outcomeTimeout:  telemetry.NewHistogram(forwardDurationBounds...),
@@ -894,42 +892,26 @@ func (c *Coordinator) forwardRunOnce(ctx context.Context, m *Member, cands []*Me
 // submitSync coalesces cluster-wide: concurrent synchronous submitters
 // of the same key — whichever coordinator connection they arrived on —
 // share one forwarded computation. The leader forwards; followers
-// replay its captured response, marked X-Gspc-Cluster-Coalesced.
+// replay its captured response, marked X-Gspc-Cluster-Coalesced. When
+// the leader's forward fails outright, the still-waiting followers
+// elect one new leader among themselves rather than each forwarding.
 func (c *Coordinator) submitSync(ctx context.Context, key string, rawQuery string, body []byte) (*fwdResult, error) {
-	c.mu.Lock()
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		run := telemetry.FromContext(ctx)
-		wsp := run.Start("coalesced-wait", "cluster", telemetry.String("key", key))
-		select {
-		case <-f.done:
-			if f.status == 0 {
-				// The leader's forward failed outright; don't replay an
-				// empty response — run our own forward chain.
-				wsp.Attr(telemetry.String("outcome", "leader-failed")).End()
-				return c.forwardRun(ctx, key, rawQuery, body)
-			}
-			c.coalesced.Add(1)
-			wsp.Attr(telemetry.String("outcome", "replayed")).End()
-			c.flight.Add(telemetry.Event{Type: "coalesced", TraceID: traceIDOf(run), Detail: key})
-			return &fwdResult{status: f.status, header: f.header, body: f.body, coalesced: true}, nil
-		case <-ctx.Done():
-			wsp.Attr(telemetry.String("outcome", "cancelled")).End()
-			return nil, ctx.Err()
-		}
+	start := time.Now()
+	res, out, err := c.flights.Get(ctx, key, func(ctx context.Context) (*fwdResult, error) {
+		return c.forwardRun(ctx, key, rawQuery, body)
+	})
+	run := telemetry.FromContext(ctx)
+	switch out {
+	case lru.Coalesced:
+		c.coalesced.Add(1)
+		run.Record("coalesced-wait", "cluster", start, time.Now(),
+			telemetry.String("key", key), telemetry.String("outcome", "replayed"))
+		c.flight.Add(telemetry.Event{Type: "coalesced", TraceID: traceIDOf(run), Detail: key})
+		return &fwdResult{status: res.status, header: res.header, body: res.body, coalesced: true}, nil
+	case lru.Cancelled:
+		run.Record("coalesced-wait", "cluster", start, time.Now(),
+			telemetry.String("key", key), telemetry.String("outcome", "cancelled"))
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	res, err := c.forwardRun(ctx, key, rawQuery, body)
-	c.mu.Lock()
-	if res != nil {
-		f.status, f.header, f.body = res.status, res.header, res.body
-	}
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(f.done)
 	return res, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -17,6 +18,7 @@ import (
 
 	"gspc/internal/harness"
 	"gspc/internal/service"
+	"gspc/internal/telemetry"
 )
 
 // simCounter counts actual simulations per cache key, cluster-wide: the
@@ -233,6 +235,193 @@ func TestClusterCoalescingAcrossConnections(t *testing.T) {
 	}
 	if n := sims.count(key); n != 1 {
 		t.Fatalf("cluster ran %d simulations for one key, want exactly 1", n)
+	}
+}
+
+// gatedMember is a fake gspcd that counts run submissions. The first
+// submission parks until release is closed and then fails outright: the
+// connection is dropped without a response. Every later submission
+// answers 200 at once.
+type gatedMember struct {
+	ts       *httptest.Server
+	release  chan struct{}
+	arrived  chan struct{} // closed when the first submission is parked
+	mu       sync.Mutex
+	requests int
+}
+
+func newGatedMember(t *testing.T) *gatedMember {
+	t.Helper()
+	g := &gatedMember{release: make(chan struct{}), arrived: make(chan struct{})}
+	g.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/runs" {
+			http.NotFound(w, r)
+			return
+		}
+		g.mu.Lock()
+		g.requests++
+		first := g.requests == 1
+		g.mu.Unlock()
+		if first {
+			close(g.arrived)
+			<-g.release
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		w.Header().Set("X-Gspc-Run", "run-000002")
+		w.Header().Set("X-Gspc-Cache", "miss")
+		w.Header().Set("X-Gspc-Node", "gated")
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"experiment":"fig12"}`)
+	}))
+	t.Cleanup(g.ts.Close)
+	return g
+}
+
+func (g *gatedMember) count() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.requests
+}
+
+func gatedCoordinator(t *testing.T, g *gatedMember) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	co, err := New(Config{
+		Members:   []MemberSpec{{Name: "gated", URL: g.ts.URL}},
+		DeadAfter: 3, HedgeDelay: -1, Logger: discard(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(co))
+	t.Cleanup(func() {
+		ts.Close()
+		co.Close()
+	})
+	return co, ts
+}
+
+// TestCoalescedWaitersReelectAfterLeaderFails: when the leader's forward
+// fails outright (the member drops the connection), the synchronous
+// submitters still waiting on it elect one new leader among themselves,
+// so the member sees exactly one more forward, not one per waiter, and
+// every waiter gets that forward's answer.
+func TestCoalescedWaitersReelectAfterLeaderFails(t *testing.T) {
+	g := newGatedMember(t)
+	co, ts := gatedCoordinator(t, g)
+	body := `{"experiment":"fig12","apps":["Dirt"]}`
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			leader <- 0
+			return
+		}
+		resp.Body.Close()
+		leader <- resp.StatusCode
+	}()
+	<-g.arrived
+
+	const waiters = 4
+	statuses := make(chan int, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("waiter submit: %v", err)
+				statuses <- 0
+				return
+			}
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	waitUntil(t, "waiters parked", func() bool { return co.flights.Stats().Coalesced == waiters })
+	close(g.release)
+
+	if st := <-leader; st == http.StatusOK {
+		t.Errorf("leader got 200 from a dropped forward")
+	}
+	for i := 0; i < waiters; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("waiter %d status %d, want 200 from the new leader", i, st)
+		}
+	}
+	if n := g.count(); n != 2 {
+		t.Errorf("member saw %d forwards, want 2 (the failed leader and one new leader)", n)
+	}
+	if m := co.Metrics(); m.Coalesced != waiters-1 {
+		t.Errorf("coalesced = %d, want %d replays of the new leader", m.Coalesced, waiters-1)
+	}
+}
+
+// TestCoalescedWaiterLeavesOnCancel: a waiter whose context dies returns
+// at once with its context error, without waiting out the leader, and
+// the leader's forward is undisturbed.
+func TestCoalescedWaiterLeavesOnCancel(t *testing.T) {
+	g := newGatedMember(t)
+	co, _ := gatedCoordinator(t, g)
+	body := []byte(`{"experiment":"fig12","apps":["Dirt"]}`)
+	key := keyOf(t, string(body))
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := co.submitSync(context.Background(), key, "", body)
+		leaderDone <- err
+	}()
+	<-g.arrived
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, err := co.submitSync(ctx, key, "", body)
+		waiterDone <- err
+	}()
+	waitUntil(t, "waiter parked", func() bool { return co.flights.Stats().Coalesced == 1 })
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter did not leave while the leader was still forwarding")
+	}
+	select {
+	case err := <-leaderDone:
+		t.Fatalf("leader finished before its member answered: %v", err)
+	default:
+	}
+	close(g.release)
+	if err := <-leaderDone; err == nil {
+		t.Error("leader's dropped forward reported success")
+	}
+	if n := g.count(); n != 1 {
+		t.Errorf("member saw %d forwards, want 1 (the waiter never forwarded)", n)
+	}
+}
+
+// TestTraceRegistryFirstWinsAndBounded: the registry keeps the first
+// run registered under an id, and never holds more than
+// traceRegistryCap runs.
+func TestTraceRegistryFirstWinsAndBounded(t *testing.T) {
+	g := newGatedMember(t)
+	co, _ := gatedCoordinator(t, g)
+	first := telemetry.NewRun("first", 1)
+	co.traces.Put("run-000001@gated", traceEntry{run: first, node: "gated"})
+	co.traces.Put("run-000001@gated", traceEntry{run: telemetry.NewRun("second", 1), node: "other"})
+	if e, ok := co.traces.Peek("run-000001@gated"); !ok || e.run != first || e.node != "gated" {
+		t.Errorf("registry entry = %+v %v, want the first registration", e, ok)
+	}
+	for i := 0; i < traceRegistryCap+10; i++ {
+		co.traces.Put(fmt.Sprintf("run-%06d@n", i), traceEntry{run: first, node: "n"})
+	}
+	if n := co.traces.Len(); n != traceRegistryCap {
+		t.Errorf("registry holds %d runs, want its capacity %d", n, traceRegistryCap)
 	}
 }
 

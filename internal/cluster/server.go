@@ -239,7 +239,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// endpoint can stitch; first registration wins, so a coalesced replay
 	// never displaces the submit that actually routed.
 	if id := res.header.Get("X-Gspc-Run"); id != "" && node != "" {
-		s.co.traces.register(qualifyRun(id, node), run, node)
+		s.co.traces.Put(qualifyRun(id, node), traceEntry{run: run, node: node})
 	}
 
 	// A fresh synchronous result fans out to the key's ring successors
@@ -255,7 +255,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var ack map[string]string
 		if json.Unmarshal(res.body, &ack) == nil && ack["id"] != "" {
 			ack["id"] = qualifyRun(ack["id"], node)
-			s.co.traces.register(ack["id"], run, node)
+			s.co.traces.Put(ack["id"], traceEntry{run: run, node: node})
 			w.Header().Set("Location", "/v1/runs/"+ack["id"])
 			for k, v := range relayHeaders(res.header) {
 				w.Header().Set(k, v)
@@ -303,7 +303,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		s.relay(w, res, node)
 		return
 	}
-	entry, retained := s.co.traces.lookup(qualified)
+	entry, retained := s.co.traces.Peek(qualified)
 	if !retained {
 		s.co.traceFallbacks.Add(1)
 		w.Header().Set("X-Gspc-Trace-Stitched", "0")
@@ -394,7 +394,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		"events":          s.co.flight.Events(),
 		"cluster_events":  events,
 		"events_cursor":   cursor,
-		"traces_retained": s.co.traces.len(),
+		"traces_retained": s.co.traces.Len(),
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"gspc/internal/telemetry"
 )
@@ -16,8 +15,8 @@ const (
 	// headroom without letting a pathological retry loop grow unbounded.
 	coordTraceMaxSpans = 512
 	// traceRegistryCap bounds how many completed submits keep their
-	// coordinator-side run retained for later stitching; oldest entries
-	// are evicted FIFO past this.
+	// coordinator-side run retained for later stitching; the least
+	// recently registered or looked-up run is evicted past this.
 	traceRegistryCap = 4096
 )
 
@@ -29,64 +28,6 @@ type traceEntry struct {
 	node string
 }
 
-// traceRegistry retains coordinator-side runs by qualified run id so
-// GET /v1/runs/{id}/trace can stitch the coordinator's spans into the
-// member's exported trace. Bounded FIFO; first registration wins (a
-// coalesced resubmit must not replace the run that actually did the
-// routing work).
-type traceRegistry struct {
-	mu    sync.Mutex
-	m     map[string]traceEntry
-	order []string
-	cap   int
-}
-
-func newTraceRegistry(capacity int) *traceRegistry {
-	if capacity <= 0 {
-		capacity = traceRegistryCap
-	}
-	return &traceRegistry{m: make(map[string]traceEntry), cap: capacity}
-}
-
-// register retains run/node under the qualified run id. No-ops on empty
-// ids, nil runs, and already-registered ids.
-func (r *traceRegistry) register(qualifiedID string, run *telemetry.Run, node string) {
-	if r == nil || qualifiedID == "" || run == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[qualifiedID]; ok {
-		return
-	}
-	if len(r.order) >= r.cap {
-		evict := r.order[0]
-		r.order = r.order[1:]
-		delete(r.m, evict)
-	}
-	r.m[qualifiedID] = traceEntry{run: run, node: node}
-	r.order = append(r.order, qualifiedID)
-}
-
-func (r *traceRegistry) lookup(qualifiedID string) (traceEntry, bool) {
-	if r == nil {
-		return traceEntry{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.m[qualifiedID]
-	return e, ok
-}
-
-func (r *traceRegistry) len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.m)
-}
-
 // stitchTrace merges the coordinator's spans for one submit with the
 // member's exported trace document into a single Perfetto-loadable
 // document: coordinator spans on pid 1, member spans on pid 2, member
@@ -94,8 +35,8 @@ func (r *traceRegistry) len() int {
 // offset (remote minus local, from timestamp-echoed exchanges).
 //
 // Errors mean the member document could not be interpreted (parse
-// failure, missing anchor); callers fall back to relaying the member's
-// document unstitched.
+// failure, missing anchor, timestamps that do not survive the rebase);
+// callers fall back to relaying the member's document unstitched.
 func stitchTrace(coRun *telemetry.Run, coordinator, node string, memberBody []byte, off telemetry.OffsetEstimate) ([]byte, error) {
 	var member telemetry.TraceDoc
 	if err := json.Unmarshal(memberBody, &member); err != nil {
@@ -191,5 +132,11 @@ func stitchTrace(coRun *telemetry.Run, coordinator, node string, memberBody []by
 			Args: map[string]string{"name": "member " + node}},
 	)
 	out.TraceEvents = events
-	return out.JSON(), nil
+	// Member timestamps are foreign input: extreme values overflow to
+	// ±Inf in the rebase above, which JSON cannot carry.
+	b, err := json.Marshal(out)
+	if err != nil {
+		return nil, fmt.Errorf("member trace timestamps out of range: %w", err)
+	}
+	return b, nil
 }

@@ -36,9 +36,13 @@ func Extensions() []Experiment {
 // allExperiments returns paper figures plus extensions.
 func allExperiments() []Experiment { return append(All(), Extensions()...) }
 
+// experiments is allExperiments built once: ByIDExt validates every
+// service request and must not rebuild the registry per call.
+var experiments = allExperiments()
+
 // ByIDExt finds an experiment among figures and extensions.
 func ByIDExt(id string) (Experiment, bool) {
-	for _, e := range allExperiments() {
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, true
 		}

@@ -1,8 +1,18 @@
 // Package lru is the process's one keyed cache: a concurrency-safe,
-// cost-budgeted, least-recently-used map with singleflight fills. The
-// frame-trace cache (internal/tracecache, cost = packed trace bytes) and
-// gspcd's result cache (internal/service, cost = one per entry) are both
-// instances of it.
+// cost-budgeted, least-recently-used map with singleflight fills. Four
+// instances serve the system:
+//
+//   - the frame-trace cache (internal/tracecache, cost = packed trace
+//     bytes);
+//   - gspcd's result cache (internal/service, cost = one per entry);
+//   - the coordinator's cluster-wide coalescing table
+//     (internal/cluster, budget 0: it deduplicates concurrent forwards
+//     of one key and retains nothing);
+//   - the coordinator's trace registry (internal/cluster, cost = one
+//     per run), which keeps coordinator-side runs for trace stitching.
+//
+// Every value is written once: nothing overwrites a resident key, so a
+// key names one value for as long as it stays resident.
 //
 // Get deduplicates concurrent fills of one key: one caller (the leader)
 // runs fill, the rest wait on it. A waiter whose ctx dies leaves at once
@@ -105,9 +115,8 @@ func (c *Cache[K, V]) Get(ctx context.Context, k K, fill func(context.Context) (
 		if e, ok := c.items[k]; ok {
 			c.touchLocked(e)
 			c.hits++
-			v := e.val // read under the lock: Replace rewrites it
 			c.mu.Unlock()
-			return v, Hit, nil
+			return e.val, Hit, nil
 		}
 		if cl, ok := c.inflight[k]; ok {
 			c.coalesced++
@@ -179,22 +188,6 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(k, v)
-}
-
-// Replace overwrites a resident k in place, without touching its
-// recency; a non-resident k falls through to Put.
-func (c *Cache[K, V]) Replace(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[k]
-	if !ok {
-		c.insertLocked(k, v)
-		return
-	}
-	cost := c.cost(v)
-	c.used += cost - e.cost
-	e.val, e.cost = v, cost
-	c.evictLocked()
 }
 
 // insertLocked adds v under k and evicts down to the budget. A value

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -61,25 +62,21 @@ func TestEntriesRebuildOrder(t *testing.T) {
 	}
 }
 
-func TestPutFirstWriteWinsAndReplaceInPlace(t *testing.T) {
+// TestPutFirstWriteWins: a second Put of a resident key keeps the first
+// value and only refreshes the key's recency.
+func TestPutFirstWriteWins(t *testing.T) {
 	c := New[string](2, func(v string) int64 { return int64(len(v)) })
 	c.Put("A", "a")
+	c.Put("B", "b")
 	c.Put("A", "zz")
 	if v, _ := c.Peek("A"); v != "a" {
 		t.Errorf("second Put replaced the first value: %q", v)
 	}
-	c.Put("B", "b")
-	c.Replace("A", "x") // in place: A stays least recently used
-	if got := keys(c); !reflect.DeepEqual(got, []string{"A", "B"}) {
-		t.Errorf("Replace touched recency: entries = %v", got)
+	if got := keys(c); !reflect.DeepEqual(got, []string{"B", "A"}) {
+		t.Errorf("second Put did not refresh A: entries = %v", got)
 	}
-	c.Replace("A", "xx") // grows past the budget: the LRU entry (A) goes
-	if _, ok := c.Peek("A"); ok || c.Stats().Used != 1 {
-		t.Errorf("over-budget Replace left %+v", c.Stats())
-	}
-	c.Replace("C", "c") // not resident: behaves as Put
-	if v, ok := c.Peek("C"); !ok || v != "c" {
-		t.Errorf("Replace of an absent key did not insert: %q %v", v, ok)
+	if s := c.Stats(); s.Used != 2 {
+		t.Errorf("used = %d, want 2 (the first value's cost)", s.Used)
 	}
 }
 
@@ -176,7 +173,68 @@ func TestCoalescedFill(t *testing.T) {
 	}
 }
 
-// TestConcurrentMix drives Get, Put, Replace, Peek, Entries and SetBudget
+// TestLeaderFailureRecoalesces: when the leader's fill fails, the
+// waiters still parked on it elect one new leader among themselves
+// instead of each running its own fill.
+func TestLeaderFailureRecoalesces(t *testing.T) {
+	c := New[string](0, unit) // retains nothing: only the coalescing is under test
+	gate := make(chan struct{})
+	leaderIn := make(chan struct{})
+	go c.Get(context.Background(), "k", func(context.Context) (string, error) {
+		close(leaderIn)
+		<-gate
+		return "", errors.New("leader failed")
+	})
+	<-leaderIn
+	const waiters = 4
+	var fills atomic.Int32
+	second := make(chan struct{})
+	var wg sync.WaitGroup
+	outs := make([]Outcome, waiters)
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, out, err := c.Get(context.Background(), "k", func(context.Context) (string, error) {
+				fills.Add(1)
+				<-second
+				return "v", nil
+			})
+			if err != nil || v != "v" {
+				t.Errorf("waiter got %q %v", v, err)
+			}
+			outs[i] = out
+		}(i)
+	}
+	for c.Stats().Coalesced < waiters {
+		runtime.Gosched()
+	}
+	close(gate)
+	// The new leader is in its fill once a miss beyond the first leader's
+	// is counted; the other waiters then park on it again.
+	for c.Stats().Misses < 2 || c.Stats().Coalesced < 2*waiters-1 {
+		runtime.Gosched()
+	}
+	close(second)
+	wg.Wait()
+	if n := fills.Load(); n != 1 {
+		t.Errorf("%d fills after the leader failed, want 1", n)
+	}
+	var misses, coalesced int
+	for _, o := range outs {
+		switch o {
+		case Miss:
+			misses++
+		case Coalesced:
+			coalesced++
+		}
+	}
+	if misses != 1 || coalesced != waiters-1 {
+		t.Errorf("outcomes %v, want one miss and %d coalesced", outs, waiters-1)
+	}
+}
+
+// TestConcurrentMix drives Get, Put, Peek, Entries and SetBudget
 // from many goroutines; under -race it is the package's concurrency
 // proof, and the exit check is the budget invariant.
 func TestConcurrentMix(t *testing.T) {
@@ -188,14 +246,12 @@ func TestConcurrentMix(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprint((w*3 + i) % 16)
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
 					c.Get(context.Background(), k, func(context.Context) (string, error) { return k, nil })
 				case 1:
 					c.Put(k, k)
 				case 2:
-					c.Replace(k, k)
-				case 3:
 					if v, ok := c.Peek(k); ok && v != k {
 						t.Errorf("key %s holds %s", k, v)
 					}

@@ -91,14 +91,6 @@ type Config struct {
 	// it are rejected with 400 up front instead of burning a worker for
 	// minutes. 0 = unlimited.
 	MaxWork float64
-	// EscalateSampled upgrades sampled answers in the background: when a
-	// sampled-fidelity job completes, its exact twin (same request,
-	// fidelity "exact") is submitted asynchronously, and once that
-	// finishes its result replaces the sampled entry in the cache under
-	// the sampled key — callers get the interactive answer now and exact
-	// numbers on the next identical request. If the exact twin is
-	// already cached the replacement is immediate.
-	EscalateSampled bool
 	// ReadyHighWater is the queued-job count at which /readyz starts
 	// reporting unready (load shedding hint for balancers); admission
 	// itself still accepts work until QueueDepth. Default QueueDepth.
@@ -254,10 +246,6 @@ type Job struct {
 	waiters           int           // Do callers blocked on done
 	abandonable       bool          // every interested party is a waiting Do caller
 	probe             bool          // the job is its breaker's half-open probe
-	// alsoCache lists extra cache keys this job's result is installed
-	// under when it completes — the sampled keys an exact escalation job
-	// upgrades.
-	alsoCache []string
 }
 
 // JobStatus is the queryable snapshot of a job (GET /v1/runs/{id}).
@@ -339,15 +327,12 @@ type Engine struct {
 	journalErrors                 int64
 	replicasInstalled             int64
 	sampledJobs                   int64
-	escalations, escalationHits   int64
 	lastSampledErr                float64 // EstRelErr of the latest sampled job
 	// Memory-ladder serving counters: requests shed outright, exact
 	// requests downgraded to sampled fidelity, stale answers served
 	// because of the stale-only rung (disjoint from staleServed, the
-	// breaker-driven stale counter), and background escalations skipped
-	// under pressure.
-	memShed, memDowngrades        int64
-	memStaleServed, memEscSkipped int64
+	// breaker-driven stale counter).
+	memShed, memDowngrades, memStaleServed int64
 }
 
 // NewEngine builds and starts an engine; callers must Shutdown it.
@@ -833,14 +818,6 @@ func (e *Engine) worker() {
 			job.status = StatusDone
 			job.result = entry
 			e.cache.Put(job.Key, entry)
-			// An escalation job also upgrades the sampled entries that
-			// asked for it.
-			for _, k := range job.alsoCache {
-				e.cache.Replace(k, entry)
-				e.escalationHits++
-				e.flight.Add(telemetry.Event{Type: "escalated", RunID: job.ID,
-					TraceID: traceID(job.run), Detail: job.Req.Experiment + " -> " + k})
-			}
 			e.lastGood[job.Req.Experiment] = entry
 			e.completed++
 			if res.Sampling != nil {
@@ -870,59 +847,6 @@ func (e *Engine) worker() {
 		e.pruneLocked(job.ID)
 		e.mu.Unlock()
 		close(job.done)
-		// Escalation happens after done is closed: the sampled answer
-		// reaches its waiters immediately, the exact twin runs behind
-		// them. The twin is exact, so escalation cannot recurse.
-		if serr == nil && e.cfg.EscalateSampled && job.Req.Fidelity == harness.FidelitySampled {
-			if g := e.cfg.Governor; g != nil && g.Rung() >= membudget.RungSampled {
-				// Under memory pressure the exact twin is exactly the work
-				// the ladder is downgrading away; skip it. The next identical
-				// request after recovery escalates normally.
-				e.mu.Lock()
-				e.memEscSkipped++
-				e.flight.Add(telemetry.Event{Type: "escalate-skipped", RunID: job.ID,
-					TraceID: traceID(job.run), Detail: job.Req.Experiment + ": memory pressure"})
-				e.mu.Unlock()
-			} else {
-				e.escalateSampled(job)
-			}
-		}
-	}
-}
-
-// escalateSampled submits the exact twin of a finished sampled job and
-// arranges for its result to replace the sampled entry in the cache
-// under the sampled key. Best-effort: backpressure or shutdown drops
-// the escalation (the sampled answer, with its error estimate attached,
-// simply remains cached).
-func (e *Engine) escalateSampled(job *Job) {
-	exj, rep, err := e.Submit(job.Req.ExactTwin())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.escalations++
-	switch {
-	case err != nil:
-		e.flight.Add(telemetry.Event{Type: "escalate-dropped", RunID: job.ID,
-			Detail: job.Req.Experiment + ": " + err.Error()})
-	case rep != nil:
-		// The exact answer was already cached: upgrade immediately.
-		e.cache.Replace(job.Key, &cached{body: rep.Body, runID: rep.RunID})
-		e.escalationHits++
-		e.flight.Add(telemetry.Event{Type: "escalated", RunID: rep.RunID,
-			Detail: job.Req.Experiment + " -> " + job.Key})
-	default:
-		switch exj.status {
-		case StatusDone:
-			// Finished between Submit and this lock.
-			if exj.result != nil {
-				e.cache.Replace(job.Key, exj.result)
-				e.escalationHits++
-			}
-		case StatusQueued, StatusRunning:
-			exj.alsoCache = append(exj.alsoCache, job.Key)
-		}
-		e.flight.Add(telemetry.Event{Type: "escalate", RunID: exj.ID,
-			TraceID: traceID(exj.run), Detail: job.Req.Experiment + " for " + job.ID})
 	}
 }
 

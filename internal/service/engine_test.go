@@ -335,3 +335,28 @@ func TestFinishedJobRetentionBound(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineDoHit measures a result-cache hit through Engine.Do:
+// request normalization, keying and the cache lookup; the job itself
+// runs once, before the timer starts.
+func BenchmarkEngineDoHit(b *testing.B) {
+	e, err := NewEngine(Config{Workers: 1, CacheEntries: 8, Logger: discardLogger(),
+		Run: func(_ context.Context, r Request) (*harness.Result, error) {
+			return &harness.Result{Experiment: r.Experiment}, nil
+		}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Shutdown(context.Background())
+	req := Request{Experiment: "fig12", Apps: []string{"Dirt", "HAWX", "BioShock"}, Scale: 0.1, Frames: 1}
+	if _, err := e.Do(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Do(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -54,21 +54,6 @@ func TestRequestFidelityNormalize(t *testing.T) {
 	}
 }
 
-func TestExactTwin(t *testing.T) {
-	s, _ := (Request{Experiment: "fig12", Scale: 0.5, Fidelity: "sampled", SampleRatio: 8}).Normalize()
-	twin, err := s.ExactTwin().Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := (Request{Experiment: "fig12", Scale: 0.5}).Normalize()
-	if twin.Key() != want.Key() {
-		t.Errorf("twin key %s, want the plain exact key %s", twin.Key(), want.Key())
-	}
-	if got := want.ExactTwin().Key(); got != want.Key() {
-		t.Errorf("exact twin of an exact request changed key: %s vs %s", got, want.Key())
-	}
-}
-
 // markedRunner distinguishes exact from sampled runs in the result body
 // and attaches a sampling report to sampled ones.
 func markedRunner(calls *int64) func(context.Context, Request) (*harness.Result, error) {
@@ -83,89 +68,9 @@ func markedRunner(calls *int64) func(context.Context, Request) (*harness.Result,
 	}
 }
 
-// TestEscalationUpgradesSampledEntry: with EscalateSampled on, a
-// sampled job's cache entry is replaced by the exact twin's result once
-// the twin completes, under the sampled key.
-func TestEscalationUpgradesSampledEntry(t *testing.T) {
-	var calls int64
-	e := newTestEngine(t, Config{Workers: 2, CacheEntries: 8,
-		EscalateSampled: true, Run: markedRunner(&calls)})
-
-	req := Request{Experiment: "fig12", Frames: 1, Fidelity: "sampled"}
-	rep, err := e.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(rep.Body), "fidelity=sampled") {
-		t.Fatalf("first answer should be the sampled run, got %s", rep.Body)
-	}
-
-	// The escalation runs asynchronously; poll the cache under the
-	// sampled key until the exact body lands.
-	norm, _ := req.Normalize()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, ok := e.Cached(norm.Key()); ok && strings.Contains(string(v.Body), "fidelity=exact") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampled cache entry was never upgraded to the exact result")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The exact twin is cached under its own key too.
-	twin, _ := req.ExactTwin().Normalize()
-	if v, ok := e.Cached(twin.Key()); !ok || !strings.Contains(string(v.Body), "fidelity=exact") {
-		t.Error("exact twin result not cached under the exact key")
-	}
-	if got := atomic.LoadInt64(&calls); got != 2 {
-		t.Errorf("runner invoked %d times, want 2 (sampled + exact twin)", got)
-	}
-	m := e.Metrics()
-	if m.Sampling == nil {
-		t.Fatal("metrics missing sampling section after a sampled job")
-	}
-	if m.Sampling.SampledJobs != 1 || m.Sampling.Escalations != 1 || m.Sampling.EscalationHits < 1 {
-		t.Errorf("sampling metrics = %+v, want 1 sampled job, 1 escalation, >=1 hit", m.Sampling)
-	}
-	if m.Sampling.LastEstRelErr != 0.05 {
-		t.Errorf("last est rel err = %v, want the report's 0.05", m.Sampling.LastEstRelErr)
-	}
-}
-
-// TestEscalationReusesCachedExact: when the exact twin is already
-// cached, escalation upgrades the sampled entry without a second run.
-func TestEscalationReusesCachedExact(t *testing.T) {
-	var calls int64
-	e := newTestEngine(t, Config{Workers: 2, CacheEntries: 8,
-		EscalateSampled: true, Run: markedRunner(&calls)})
-
-	exact := Request{Experiment: "fig12", Frames: 1}
-	if _, err := e.Do(context.Background(), exact); err != nil {
-		t.Fatal(err)
-	}
-	sampled := Request{Experiment: "fig12", Frames: 1, Fidelity: "sampled"}
-	if _, err := e.Do(context.Background(), sampled); err != nil {
-		t.Fatal(err)
-	}
-	norm, _ := sampled.Normalize()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, ok := e.Cached(norm.Key()); ok && strings.Contains(string(v.Body), "fidelity=exact") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampled entry not upgraded from the already-cached exact result")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := atomic.LoadInt64(&calls); got != 2 {
-		t.Errorf("runner invoked %d times, want 2 (no rerun of the cached exact twin)", got)
-	}
-}
-
-// TestNoEscalationWhenDisabled: the default engine leaves sampled
-// entries alone.
+// TestNoEscalationWhenDisabled: a sampled answer is written once and
+// stays as computed — no exact twin runs behind it and the entry under
+// the sampled key is never swapped for other bytes.
 func TestNoEscalationWhenDisabled(t *testing.T) {
 	var calls int64
 	e := newTestEngine(t, Config{Workers: 2, CacheEntries: 8, Run: markedRunner(&calls)})
@@ -175,11 +80,18 @@ func TestNoEscalationWhenDisabled(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	if got := atomic.LoadInt64(&calls); got != 1 {
-		t.Errorf("runner invoked %d times, want 1 (no escalation)", got)
+		t.Errorf("runner invoked %d times, want 1 (no exact twin)", got)
 	}
 	norm, _ := req.Normalize()
 	if v, ok := e.Cached(norm.Key()); !ok || !strings.Contains(string(v.Body), "fidelity=sampled") {
-		t.Error("sampled entry missing or replaced with escalation disabled")
+		t.Error("sampled entry missing or replaced")
+	}
+	m := e.Metrics()
+	if m.Sampling == nil {
+		t.Fatal("metrics missing sampling section after a sampled job")
+	}
+	if m.Sampling.SampledJobs != 1 || m.Sampling.LastEstRelErr != 0.05 {
+		t.Errorf("sampling metrics = %+v, want 1 sampled job with the report's 0.05 est rel err", m.Sampling)
 	}
 }
 

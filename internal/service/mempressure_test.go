@@ -152,34 +152,6 @@ func TestMemorySampledDowngradeMarksResponses(t *testing.T) {
 	}
 }
 
-// TestMemoryDowngradeSuppressesEscalation: with -escalate-sampled, a
-// sampled job finishing under memory pressure must NOT spawn its exact
-// twin — the twin is exactly the work the ladder is shedding.
-func TestMemoryDowngradeSuppressesEscalation(t *testing.T) {
-	var calls int64
-	g := newTestGovernor(t)
-	e := newTestEngine(t, Config{Workers: 1, CacheEntries: 8, EscalateSampled: true,
-		Run: countingRunner(&calls), Governor: g})
-
-	press(g, 0.80)
-	if _, err := e.Do(context.Background(), Request{Experiment: "fig12", Frames: 1}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if m := e.Metrics(); m.Memory != nil && m.Memory.EscalationsSkipped == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("EscalationsSkipped = %+v, want 1", e.Metrics().Memory)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := atomic.LoadInt64(&calls); got != 1 {
-		t.Errorf("runner ran %d times, want 1 (no exact twin under pressure)", got)
-	}
-}
-
 // TestMemoryLadderRecoveryRestoresService: after the pressure is
 // released and the hold-downs elapse, the same engine serves exact
 // requests again with no downgrade marking.

@@ -29,9 +29,9 @@ type Metrics struct {
 	// cluster coordinator (PUT /v1/replicas/{key}).
 	ReplicasInstalled int64 `json:"replicas_installed"`
 
-	// Sampling reports sampled-fidelity serving: jobs answered sampled,
-	// background escalations to exact, and the process-wide set-sampling
-	// replay counters. Omitted until the first sampled job.
+	// Sampling reports sampled-fidelity serving: jobs answered sampled
+	// and the process-wide set-sampling replay counters. Omitted until
+	// the first sampled job.
 	Sampling *SamplingMetrics `json:"sampling,omitempty"`
 
 	BreakerTrips     int64             `json:"breaker_trips"`
@@ -91,13 +91,10 @@ type MemoryMetrics struct {
 	// Shed counts requests refused outright at the shed rung;
 	// Downgrades counts exact requests forced to sampled fidelity;
 	// StaleServed counts stale answers served because of the stale-only
-	// rung (disjoint from the breaker-driven stale_served counter);
-	// EscalationsSkipped counts background exact escalations suppressed
-	// under pressure.
-	Shed               int64 `json:"shed"`
-	Downgrades         int64 `json:"downgrades"`
-	StaleServed        int64 `json:"stale_served"`
-	EscalationsSkipped int64 `json:"escalations_skipped"`
+	// rung (disjoint from the breaker-driven stale_served counter).
+	Shed        int64 `json:"shed"`
+	Downgrades  int64 `json:"downgrades"`
+	StaleServed int64 `json:"stale_served"`
 }
 
 // SamplingMetrics is the sampled-fidelity section of /metricsz.
@@ -106,11 +103,6 @@ type SamplingMetrics struct {
 	// is the estimated relative error the most recent one reported.
 	SampledJobs   int64   `json:"sampled_jobs"`
 	LastEstRelErr float64 `json:"last_est_rel_err"`
-	// Escalations counts exact twins submitted behind sampled answers;
-	// EscalationHits counts sampled cache entries actually upgraded to
-	// exact results (immediately or when the twin finished).
-	Escalations    int64 `json:"escalations"`
-	EscalationHits int64 `json:"escalation_hits"`
 	// Process-wide set-sampling replay counters (every engine in the
 	// process shares them, like the trace cache): measured replays,
 	// sampled-subset and geometry set counts summed over replays (divide
@@ -161,16 +153,13 @@ func (e *Engine) Metrics() Metrics {
 		memory.Shed = e.memShed
 		memory.Downgrades = e.memDowngrades
 		memory.StaleServed = e.memStaleServed
-		memory.EscalationsSkipped = e.memEscSkipped
 	}
 	cache := e.cache.Stats()
 	var sampling *SamplingMetrics
-	if sim := telemetry.Sim(); e.sampledJobs > 0 || e.escalations > 0 || sim.SampledReplays > 0 {
+	if sim := telemetry.Sim(); e.sampledJobs > 0 || sim.SampledReplays > 0 {
 		sampling = &SamplingMetrics{
 			SampledJobs:       e.sampledJobs,
 			LastEstRelErr:     e.lastSampledErr,
-			Escalations:       e.escalations,
-			EscalationHits:    e.escalationHits,
 			SampledReplays:    sim.SampledReplays,
 			SampledSets:       sim.SampledSets,
 			SampledSetsTotal:  sim.SampledSetsTotal,

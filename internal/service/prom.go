@@ -33,8 +33,6 @@ func (e *Engine) PromExposition() []byte {
 	if s := m.Sampling; s != nil {
 		x.Counter("gspc_sampled_jobs_total", "Completed sampled-fidelity jobs.", float64(s.SampledJobs))
 		x.Gauge("gspc_sampled_est_rel_err", "Estimated relative error reported by the latest sampled job.", s.LastEstRelErr)
-		x.Counter("gspc_escalations_total", "Exact twins submitted behind sampled answers.", float64(s.Escalations))
-		x.Counter("gspc_escalation_hits_total", "Sampled cache entries upgraded to exact results.", float64(s.EscalationHits))
 		x.Counter("gspc_sampled_replays_total", "Set-sampled measured replays, process-wide.", float64(s.SampledReplays))
 		x.Counter("gspc_sampled_sets", "Sets simulated, summed over set-sampled replays (divide by gspc_sampled_replays_total for the per-replay mean).", float64(s.SampledSets))
 		x.Counter("gspc_sampled_sets_total", "Geometry set totals, summed over set-sampled replays.", float64(s.SampledSetsTotal))
@@ -104,7 +102,6 @@ func (e *Engine) PromExposition() []byte {
 		x.Counter("gspc_mem_shed_total", "Requests refused at the shed rung.", float64(mm.Shed))
 		x.Counter("gspc_mem_downgrades_total", "Exact requests forced to sampled fidelity by the ladder.", float64(mm.Downgrades))
 		x.Counter("gspc_mem_stale_served_total", "Stale answers served because of the stale-only rung.", float64(mm.StaleServed))
-		x.Counter("gspc_mem_escalations_skipped_total", "Background exact escalations suppressed under memory pressure.", float64(mm.EscalationsSkipped))
 	}
 
 	if len(m.SLO) > 0 {

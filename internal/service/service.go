@@ -60,6 +60,10 @@ type BadRequestError struct{ Reason string }
 
 func (e *BadRequestError) Error() string { return "service: bad request: " + e.Reason }
 
+// suiteApps is the application count of the full suite: an app list
+// naming all of them normalizes to nil, the full-suite spelling.
+var suiteApps = len(workload.Profiles())
+
 // Normalize validates the request and folds every spelling of the
 // defaults onto one canonical form: harness defaults are applied, the
 // app list is de-duplicated, sorted, and checked against the workload
@@ -127,7 +131,7 @@ func (r Request) Normalize() (Request, error) {
 			apps = append(apps, a)
 		}
 		sort.Strings(apps)
-		if len(apps) == 0 || len(apps) == len(workload.Profiles()) {
+		if len(apps) == 0 || len(apps) == suiteApps {
 			apps = nil // blank entries only, or the full suite spelled out
 		}
 		r.Apps = apps
@@ -165,17 +169,6 @@ func (r Request) Key() string {
 		fmt.Fprintf(h, "|fid=sampled|ratio=%d|seed=%d", r.SampleRatio, r.SampleSeed)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// ExactTwin returns the exact-fidelity request that answers the same
-// question as r without sampling error — what the engine escalates a
-// sampled run to in the background. The twin of an exact request is
-// itself.
-func (r Request) ExactTwin() Request {
-	r.Fidelity = harness.FidelityExact
-	r.SampleRatio = 0
-	r.SampleSeed = 0
-	return r
 }
 
 // SampledTwin returns the sampled-fidelity request answering the same

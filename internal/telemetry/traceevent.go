@@ -28,8 +28,10 @@ type TraceDoc struct {
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
-// JSON renders the document. Marshalling TraceEvent cannot fail (all
-// fields are strings/numbers/maps of strings), so the error is elided.
+// JSON renders the document. Marshalling fails only on a non-finite
+// timestamp or duration, which Run.Export never produces, so the error
+// is elided; a document carrying foreign timestamps (a stitched member
+// trace) must be marshalled with its error checked instead.
 func (d *TraceDoc) JSON() []byte {
 	b, _ := json.Marshal(d)
 	return b

@@ -218,9 +218,14 @@ func Profiles() []Profile {
 	}
 }
 
+// profiles is the suite built once: ProfileByAbbrev runs on every
+// request validation and must not rebuild the table per call. Profiles
+// keeps handing each caller a fresh copy.
+var profiles = Profiles()
+
 // ProfileByAbbrev finds a profile by its abbreviated name.
 func ProfileByAbbrev(abbrev string) (Profile, bool) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Abbrev == abbrev {
 			return p, true
 		}
